@@ -111,7 +111,10 @@ class LaserScan:
         return len(self.ranges)
 
     def angle(self, index: int) -> float:
-        return scan_point_angle(self, index)
+        """Bearing of beam `index` in the scan's own frame."""
+        if not 0 <= index < len(self.ranges):
+            raise IndexError(f"beam index {index} out of range [0, {len(self.ranges)})")
+        return self.angle_min + index * self.angle_increment
 
     def is_valid(self, index: int) -> bool:
         return self.ranges[index] >= 0.0
@@ -130,13 +133,6 @@ class LaserScan:
         a_min, a_max, inc, r_min, r_max = (float(t) for t in lines[0].split())
         ranges = [float(t) for ln in lines[1:] for t in ln.split()]
         return cls(a_min, a_max, inc, r_min, r_max, ranges, frame)
-
-
-def scan_point_angle(scan: LaserScan, index: int) -> float:
-    """Bearing of beam `index` in the scan's own frame."""
-    if not 0 <= index < len(scan.ranges):
-        raise IndexError(f"beam index {index} out of range [0, {len(scan.ranges)})")
-    return scan.angle_min + index * scan.angle_increment
 
 
 @dataclass

@@ -7,11 +7,11 @@ Map files are a PGM (P5) image plus a small text metadata sidecar.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .core import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, PointCloud, Pose2D
 
@@ -72,30 +72,12 @@ def denoise(grid: OccupancyGrid, min_cluster: int) -> OccupancyGrid:
     if min_cluster < 1:
         raise ValueError("min_cluster must be >= 1")
     out = grid.copy()
-    if min_cluster == 1:
-        return out
     occ = out.cells == OCCUPIED
-    seen = np.zeros_like(occ, dtype=bool)
-    h, w = occ.shape
-    for r0 in range(h):
-        for c0 in range(w):
-            if not occ[r0, c0] or seen[r0, c0]:
-                continue
-            comp = [(r0, c0)]
-            seen[r0, c0] = True
-            queue = deque(comp)
-            while queue:
-                r, c = queue.popleft()
-                for dr in (-1, 0, 1):
-                    for dc in (-1, 0, 1):
-                        rr, cc = r + dr, c + dc
-                        if 0 <= rr < h and 0 <= cc < w and occ[rr, cc] and not seen[rr, cc]:
-                            seen[rr, cc] = True
-                            comp.append((rr, cc))
-                            queue.append((rr, cc))
-            if len(comp) < min_cluster:
-                for r, c in comp:
-                    out.cells[r, c] = FREE
+    labels, n = ndimage.label(occ, structure=np.ones((3, 3), dtype=bool))
+    # counting only the labelled cells keeps bincount's int64 copy small
+    small = np.bincount(labels[occ], minlength=n + 1) < min_cluster
+    small[0] = False  # background
+    out.cells[small[labels]] = FREE
     return out
 
 
@@ -106,28 +88,12 @@ def fill_unknown(grid: OccupancyGrid) -> OccupancyGrid:
     becomes UNKNOWN; enclosed FREE space stays FREE.
     """
     out = grid.copy()
-    h, w = out.cells.shape
-    free = out.cells == FREE
-    reach = np.zeros_like(free, dtype=bool)
-    queue: deque[tuple[int, int]] = deque()
-    for c in range(w):
-        for r in (0, h - 1):
-            if free[r, c] and not reach[r, c]:
-                reach[r, c] = True
-                queue.append((r, c))
-    for r in range(h):
-        for c in (0, w - 1):
-            if free[r, c] and not reach[r, c]:
-                reach[r, c] = True
-                queue.append((r, c))
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and free[rr, cc] and not reach[rr, cc]:
-                reach[rr, cc] = True
-                queue.append((rr, cc))
-    out.cells[reach] = UNKNOWN
+    labels, n = ndimage.label(out.cells == FREE)
+    exterior = np.zeros(n + 1, dtype=bool)
+    for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+        exterior[edge] = True
+    exterior[0] = False  # background
+    out.cells[exterior[labels]] = UNKNOWN
     return out
 
 

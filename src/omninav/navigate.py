@@ -6,7 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import OCCUPIED, Pose2D, VelocityCommand, world_to_cell
+import numpy as np
+
+from .core import OCCUPIED, Pose2D, VelocityCommand, cell_center, world_to_cell
 from .planning import (
     Costmap,
     LocalPlannerConfig,
@@ -18,25 +20,6 @@ from .planning import (
 )
 from . import sim as simulator
 
-
-def _nearest_unblocked(blocked, cell, max_radius_cells: int):
-    """Closest cell (col, row) with blocked False, by ring search."""
-    c0, r0 = cell
-    h, w = blocked.shape
-    for radius in range(1, max_radius_cells + 1):
-        best = None
-        for dc in range(-radius, radius + 1):
-            for dr in range(-radius, radius + 1):
-                if max(abs(dc), abs(dr)) != radius:
-                    continue
-                c, r = c0 + dc, r0 + dr
-                if 0 <= c < w and 0 <= r < h and not blocked[r, c]:
-                    d = dc * dc + dr * dr
-                    if best is None or d < best[0]:
-                        best = (d, (c, r))
-        if best is not None:
-            return best[1]
-    return None
 
 REACHED = "reached"
 BLOCKED = "blocked"
@@ -77,7 +60,8 @@ class Navigator:
         """Global plan over the static map plus current costmap obstacles.
 
         A start cell pinched by inflation (wall contact, fresh obstacle) is
-        replaced by the nearest unblocked cell so the robot can move off.
+        replaced by the nearest unblocked cell within 1 m so the robot can
+        move off. Returns world waypoints ending exactly at the goal, or None.
         """
         grid = self.map_grid
         overlay = grid.copy()
@@ -92,15 +76,17 @@ class Navigator:
         if sc is None or gc is None or blocked[gc[1], gc[0]]:
             return None
         if blocked[sc[1], sc[0]]:
-            sc = _nearest_unblocked(blocked, sc, int(1.0 / grid.resolution))
-            if sc is None:
+            reach = int(1.0 / grid.resolution)
+            c0, r0 = max(sc[0] - reach, 0), max(sc[1] - reach, 0)
+            rows, cols = np.nonzero(~blocked[r0 : sc[1] + reach + 1, c0 : sc[0] + reach + 1])
+            if rows.size == 0:
                 return None
+            k = np.argmin((cols + c0 - sc[0]) ** 2 + (rows + r0 - sc[1]) ** 2)
+            sc = (int(cols[k]) + c0, int(rows[k]) + r0)
         path, _cost = astar(blocked, sc, gc)
         if path is None:
             return None
-        res = grid.resolution
-        pts = [(grid.origin.x + (c + 0.5) * res, grid.origin.y + (r + 0.5) * res)
-               for c, r in path]
+        pts = [cell_center(grid, c, r) for c, r in path]
         pts[-1] = (goal.x, goal.y)
         return pts
 

@@ -1,5 +1,5 @@
-"""Global grid planner, constrained local planner, and the local costmap
-with facing-conditioned clearing.
+"""A* over the inflated grid, constrained local planner, and the local
+costmap with facing-conditioned clearing.
 
 Two rules from the deployed navigation setup are enforced here:
   - lateral (body Y) motion is never commanded, and
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .core import (
     FREE,
@@ -69,6 +70,9 @@ class Costmap:
         self.inflation_radius = inflation_radius
         # returns already explained by this map are not treated as new obstacles
         self.static_grid = static_grid
+        # static OCCUPIED cells grown by one cell: the cells whose returns it explains
+        self._explained = None if static_grid is None else ndimage.binary_dilation(
+            static_grid.cells == OCCUPIED, structure=np.ones((3, 3), dtype=bool))
         # cell -> bearing recorded at insertion (body frame)
         self.obstacles: dict[tuple[int, int], float] = {}
 
@@ -83,18 +87,10 @@ class Costmap:
 
     def _static_explains(self, x: float, y: float) -> bool:
         """True when the static map has an OCCUPIED cell at or next to (x, y)."""
-        grid = self.static_grid
-        if grid is None:
+        if self.static_grid is None:
             return False
-        cell = world_to_cell(grid, x, y)
-        if cell is None:
-            return False
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                col, row = cell[0] + dc, cell[1] + dr
-                if grid.in_bounds(col, row) and grid.cells[row, col] == OCCUPIED:
-                    return True
-        return False
+        cell = world_to_cell(self.static_grid, x, y)
+        return cell is not None and bool(self._explained[cell[1], cell[0]])
 
     def update(self, merged: LaserScan, robot_pose: Pose2D, facing_half_angle: float) -> None:
         """Insert beam endpoints; clear only inside the facing cone.
@@ -141,15 +137,10 @@ class Costmap:
 
     def blocks(self, x: float, y: float) -> bool:
         """True if (x, y) is within the inflation radius of any obstacle."""
-        r_cells = int(math.ceil(self.inflation_radius / self.resolution))
-        c0 = self.cell_of(x, y)
-        for dc in range(-r_cells, r_cells + 1):
-            for dr in range(-r_cells, r_cells + 1):
-                cell = (c0[0] + dc, c0[1] + dr)
-                if cell in self.obstacles:
-                    cx, cy = self.cell_center(cell)
-                    if math.hypot(cx - x, cy - y) <= self.inflation_radius:
-                        return True
+        res, radius = self.resolution, self.inflation_radius
+        for col, row in self.obstacles:
+            if math.hypot((col + 0.5) * res - x, (row + 0.5) * res - y) <= radius:
+                return True
         return False
 
 
@@ -159,8 +150,6 @@ def inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
     r_cells = int(math.floor(radius / grid.resolution + 1e-9))
     if r_cells <= 0:
         return blocked
-    from scipy import ndimage
-
     yy, xx = np.mgrid[-r_cells : r_cells + 1, -r_cells : r_cells + 1]
     disk = (xx ** 2 + yy ** 2) <= r_cells ** 2
     return ndimage.binary_dilation(blocked, structure=disk)
@@ -214,31 +203,6 @@ def astar(blocked: np.ndarray, start: tuple[int, int], goal: tuple[int, int]):
                 came[nxt] = cur
                 heapq.heappush(heap, (ng + _octile(nxt, goal), ng, nxt))
     return None, math.inf
-
-
-def plan_global(
-    grid: OccupancyGrid, start: Pose2D, goal: Pose2D, inflation_radius: float = 0.3
-) -> list[tuple[float, float]] | None:
-    """Shortest 8-connected path as world waypoints, or None if unreachable.
-
-    UNKNOWN cells are untraversable; OCCUPIED cells are inflated by a disk.
-    Raises if start or goal falls inside an obstacle.
-    """
-    sc = world_to_cell(grid, start.x, start.y)
-    gc = world_to_cell(grid, goal.x, goal.y)
-    if sc is None or gc is None:
-        raise ValueError("start or goal outside the map")
-    blocked = inflate(grid, inflation_radius)
-    path, _cost = astar(blocked, sc, gc)
-    if path is None:
-        return None
-    res = grid.resolution
-    pts = [
-        (grid.origin.x + (c + 0.5) * res, grid.origin.y + (r + 0.5) * res) for c, r in path
-    ]
-    # goal position replaces the last cell center for exact arrival
-    pts[-1] = (goal.x, goal.y)
-    return pts
 
 
 @dataclass(frozen=True)

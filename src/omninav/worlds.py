@@ -153,14 +153,11 @@ def expected_lab_raster(grid: OccupancyGrid) -> np.ndarray:
     """Analytic ground truth on the same lattice as an extracted grid:
     wall/furniture cells OCCUPIED, cells outside the perimeter UNKNOWN,
     everything else FREE."""
-    expected = np.full((grid.height, grid.width), FREE, dtype=np.int8)
     ox, oy = grid.origin.x, grid.origin.y
-    for row in range(grid.height):
-        for col in range(grid.width):
-            x = ox + (col + 0.5) * grid.resolution
-            y = oy + (row + 0.5) * grid.resolution
-            if not (_E <= x <= _W - _E and _E <= y <= _H - _E):
-                expected[row, col] = UNKNOWN
+    x = ox + (np.arange(grid.width) + 0.5) * grid.resolution
+    y = oy + (np.arange(grid.height) + 0.5) * grid.resolution
+    expected = np.full((grid.height, grid.width), UNKNOWN, dtype=np.int8)
+    expected[np.ix_((_E <= y) & (y <= _H - _E), (_E <= x) & (x <= _W - _E))] = FREE
     occ: set[tuple[int, int]] = set()
     for seg in WALL_SEGMENTS:
         occ |= segment_cells(seg, ox, oy, grid.resolution)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import omninav
 from omninav import mapgen
 from omninav.cli import main
 from omninav.core import OCCUPIED, PointCloud
@@ -175,3 +181,15 @@ class TestArgHandling:
 
     def test_missing_required_argument(self):
         assert main(["map-extract"]) == 2
+
+    def test_python_dash_m_entry_point(self, tmp_path):
+        src = str(Path(omninav.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "omninav", "--out", str(out), "controller-demo"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "trajectory.csv").exists()

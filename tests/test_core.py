@@ -17,7 +17,6 @@ from omninav.core import (
     VelocityCommand,
     cell_center,
     normalize_angle,
-    scan_point_angle,
     world_to_cell,
 )
 
@@ -96,7 +95,7 @@ class TestLaserScan:
         assert scan.is_valid(0) and not scan.is_valid(1)
         assert scan.valid_count() == 4
         with pytest.raises(IndexError):
-            scan_point_angle(scan, 5)
+            scan.angle(5)
 
     def test_text_round_trip_exact(self):
         scan = LaserScan(-0.5, 0.5, 0.25, 0.05, 3.0,

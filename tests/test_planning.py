@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omninav.core import (
+    FREE,
     INVALID_RANGE,
     OCCUPIED,
     UNKNOWN,
@@ -13,17 +14,21 @@ from omninav.core import (
     OccupancyGrid,
     Pose2D,
     ScanFrame,
+    cell_center,
+    world_to_cell,
 )
+from omninav.navigate import NO_PATH, Navigator
 from omninav.planning import (
     Costmap,
     LocalPlannerConfig,
+    MarkerSpec,
     astar,
     at_goal,
     inflate,
     load_markers,
-    plan_global,
     plan_local,
 )
+from omninav.sim import World
 
 SQRT2 = math.sqrt(2.0)
 NEIGHBORS = [
@@ -54,6 +59,40 @@ def dijkstra_cost(blocked, start, goal):
                 dist[(nc, nr)] = nd
                 heapq.heappush(heap, (nd, (nc, nr)))
     return math.inf
+
+
+def oracle_blocks(cm, x, y):
+    """Reference implementation: probe every cell of the (2r+1)^2 window
+    around (x, y) for an obstacle within the inflation radius."""
+    r_cells = int(math.ceil(cm.inflation_radius / cm.resolution))
+    c0 = cm.cell_of(x, y)
+    for dc in range(-r_cells, r_cells + 1):
+        for dr in range(-r_cells, r_cells + 1):
+            cell = (c0[0] + dc, c0[1] + dr)
+            if cell in cm.obstacles:
+                cx, cy = cm.cell_center(cell)
+                if math.hypot(cx - x, cy - y) <= cm.inflation_radius:
+                    return True
+    return False
+
+
+def oracle_static_explains(grid, x, y):
+    """Reference implementation: scan the 3x3 neighbourhood of the cell
+    holding (x, y) for a static OCCUPIED cell."""
+    cell = world_to_cell(grid, x, y)
+    if cell is None:
+        return False
+    for dc in (-1, 0, 1):
+        for dr in (-1, 0, 1):
+            col, row = cell[0] + dc, cell[1] + dr
+            if grid.in_bounds(col, row) and grid.cells[row, col] == OCCUPIED:
+                return True
+    return False
+
+
+def planner_on(grid, robot, inflation_radius=0.4):
+    world = World(grid=grid, robot=robot)
+    return Navigator(world, {}, inflation_radius=inflation_radius)
 
 
 def merged_scan(ranges, angle_min=0.0, inc=0.1):
@@ -154,16 +193,51 @@ class TestInflate:
 
 
 class TestPlanGlobal:
+    """Navigator._plan, the one global planner."""
+
     def test_waypoints_end_at_goal(self):
         g = OccupancyGrid(40, 40, 0.1)
-        pts = plan_global(g, Pose2D(0.55, 0.55, 0), Pose2D(3.12, 3.48, 0), 0.0)
+        nav = planner_on(g, Pose2D(0.52, 0.58, 0), inflation_radius=0.0)
+        pts = nav._plan(Pose2D(3.12, 3.48, 0))
+        assert pts[0] == cell_center(g, 5, 5)
         assert pts[-1] == (3.12, 3.48)
-        assert pts[0] == (pytest.approx(0.55), pytest.approx(0.55))
 
     def test_outside_map_rejected(self):
         g = OccupancyGrid(10, 10, 0.1)
-        with pytest.raises(ValueError):
-            plan_global(g, Pose2D(-1, 0, 0), Pose2D(0.5, 0.5, 0))
+        nav = planner_on(g, Pose2D(0.5, 0.5, 0))
+        nav.markers["off"] = MarkerSpec("off", Pose2D(-1.0, 0.0, 0.0))
+        assert nav.navigate_to_marker("off") == NO_PATH
+
+    @pytest.mark.parametrize("robot", [
+        Pose2D(2.25, 1.05, 0),  # beside a wall
+        Pose2D(2.25, 3.25, 0),  # off the end of a wall
+        Pose2D(0.15, 4.55, 0),  # against the map edge, window clipped
+    ])
+    def test_pinched_start_moves_to_nearest_unblocked(self, robot):
+        g = OccupancyGrid(60, 60, 0.1)
+        g.cells[0:31, 20] = OCCUPIED
+        g.cells[:, 0] = OCCUPIED
+        nav = planner_on(g, robot)
+        blocked = inflate(g, nav.inflation_radius)
+        sc, gc = world_to_cell(g, robot.x, robot.y), (50, 50)
+        assert blocked[sc[1], sc[0]]
+        reach = int(1.0 / g.resolution)
+        best = min(
+            (c - sc[0]) ** 2 + (r - sc[1]) ** 2
+            for c in range(60) for r in range(60)
+            if max(abs(c - sc[0]), abs(r - sc[1])) <= reach and not blocked[r, c]
+        )
+        pts = nav._plan(Pose2D(*cell_center(g, *gc), 0))
+        c, r = world_to_cell(g, *pts[0])
+        assert (c - sc[0]) ** 2 + (r - sc[1]) ** 2 == best
+        assert not blocked[r, c]
+
+    def test_fully_blocked_start_window_is_no_path(self):
+        g = OccupancyGrid(60, 60, 0.1)
+        g.cells[0:30, 0:30] = OCCUPIED
+        nav = planner_on(g, Pose2D(1.05, 1.05, 0))
+        nav.markers["far"] = MarkerSpec("far", Pose2D(5.0, 5.0, 0.0))
+        assert nav.navigate_to_marker("far") == NO_PATH
 
 
 class TestCostmap:
@@ -222,6 +296,38 @@ class TestCostmap:
         assert cm.blocks(1.0, 0.0)
         assert cm.blocks(0.75, 0.0)
         assert not cm.blocks(0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0.05, 0.1, 0.13]),
+        st.floats(0.0, 0.5),
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=30),
+        st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1,
+                 max_size=20),
+    )
+    def test_blocks_matches_window_oracle(self, res, radius, cells, points):
+        cm = Costmap(res, inflation_radius=radius)
+        cm.obstacles = {cell: 0.0 for cell in cells}
+        for x, y in points:
+            assert cm.blocks(x, y) == oracle_blocks(cm, x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+        st.sampled_from([0.05, 0.1, 0.13]),
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+        st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)), min_size=1,
+                 max_size=20),
+    )
+    def test_static_explains_matches_neighbourhood_oracle(self, w, h, seed, res, ox, oy,
+                                                          fractions):
+        rng = np.random.default_rng(seed)
+        cells = rng.choice([FREE, OCCUPIED, UNKNOWN], size=(h, w), p=[0.7, 0.15, 0.15])
+        g = OccupancyGrid(w, h, res, Pose2D(ox, oy, 0.0), cells)
+        cm = Costmap(res, static_grid=g)
+        for fx, fy in fractions:
+            x, y = ox + fx * w * res, oy + fy * h * res
+            assert cm._static_explains(x, y) == oracle_static_explains(g, x, y)
 
 
 class TestPlanLocal:
