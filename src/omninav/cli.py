@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import mapgen, sim, worlds
-from .core import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose2D
+from .core import FREE, OCCUPIED, UNKNOWN, LaserScan, OccupancyGrid, Pose2D, ScanFrame
 from .localization import MclConfig, MclFilter
 from .motion import circle_drive_headings, tangency_error
 from .navigate import Navigator
@@ -173,7 +174,6 @@ def cmd_localize(args) -> int:
     mcl = MclFilter(grid, cfg)
     x, y, th = args.init
     mcl.initialize_around(Pose2D(x, y, th), args.spread, math.radians(args.spread_deg))
-    from .core import LaserScan, ScanFrame
 
     scan_meta = None
     est_path = out / "estimates.csv"
@@ -187,21 +187,26 @@ def cmd_localize(args) -> int:
                 print(f"error: {args.log}:{lineno}: malformed row", file=sys.stderr)
                 return 2
             t, kind, payload = parts[0], parts[1], parts[2]
-            if kind == "scanmeta":
-                scan_meta = [float(v) for v in payload.split()]
-                continue
-            if kind == "odom":
-                dx, dy, dth = (float(v) for v in payload.split())
-                est = mcl.update(Pose2D(dx, dy, dth), None)
-            elif kind == "scan":
-                if scan_meta is None:
-                    print("error: scan row before scanmeta", file=sys.stderr)
-                    return 2
-                ranges = [float(v) for v in payload.split()]
-                scan = LaserScan(*scan_meta, ranges, ScanFrame.MERGED)
-                est = mcl.update(Pose2D(), scan)
-            else:
-                print(f"error: {args.log}:{lineno}: unknown row type {kind!r}", file=sys.stderr)
+            try:
+                if kind not in ("scanmeta", "odom", "scan"):
+                    raise ValueError(f"unknown row type {kind!r}")
+                values = [float(v) for v in payload.split()]
+                if kind == "scanmeta":
+                    if len(values) != 5:
+                        raise ValueError("scanmeta needs 5 numbers: angle_min angle_max "
+                                         "angle_increment range_min range_max")
+                    scan_meta = values
+                    continue
+                if kind == "odom":
+                    if len(values) != 3:
+                        raise ValueError("odom needs 3 numbers: dx dy dtheta")
+                    est = mcl.update(Pose2D(*values), None)
+                else:
+                    if scan_meta is None:
+                        raise ValueError("scan row before scanmeta")
+                    est = mcl.update(Pose2D(), LaserScan(*scan_meta, values, ScanFrame.MERGED))
+            except ValueError as e:
+                print(f"error: {args.log}:{lineno}: {e}", file=sys.stderr)
                 return 2
             f.write(f"{t},{est.x:.6f},{est.y:.6f},{est.theta:.6f}\n")
     print(f"estimates -> {est_path}")
@@ -250,8 +255,9 @@ def cmd_tour(args) -> int:
     try:
         state = runner.run(script)
     finally:
-        for m in mocks:
-            m.stop()
+        # each stop() waits out up to one serve_forever poll: overlap the waits
+        with ThreadPoolExecutor() as pool:
+            list(pool.map(MockDeviceServer.stop, mocks))
     (out / "transitions.txt").write_text(runner.transition_log())
     if shared_log:
         (out / "device_commands.txt").write_text(

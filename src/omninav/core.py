@@ -88,7 +88,8 @@ class ScanFrame(enum.Enum):
 class LaserScan:
     """Polar range scan. Negative range means invalid/unknown return.
 
-    Beam i points along angle_min + i * angle_increment.
+    Beam i points along angle_min + i * angle_increment (> 0). Angles and
+    ranges are finite; ranges are kept as a list of Python floats.
     """
 
     angle_min: float
@@ -100,8 +101,19 @@ class LaserScan:
     frame: ScanFrame = ScanFrame.BASE
 
     def __post_init__(self):
-        self.ranges = [float(r) for r in self.ranges]
-        expected = int(math.floor((self.angle_max - self.angle_min) / self.angle_increment + 0.5)) + 1
+        if not 0.0 < self.angle_increment < math.inf:
+            raise ValueError(f"angle_increment {self.angle_increment!r} is not positive and finite")
+        steps = (self.angle_max - self.angle_min) / self.angle_increment
+        if not math.isfinite(steps):
+            raise ValueError("non-finite scan angles, or an increment too small for their span")
+        ranges = np.asarray(self.ranges, dtype=float)
+        if not np.isfinite(ranges).all():
+            raise ValueError("non-finite range; an invalid return is -1.0")
+        # invalid bins share one float object; most bins of a merged scan are invalid
+        items = ranges.astype(object)
+        items[ranges == INVALID_RANGE] = INVALID_RANGE
+        self.ranges = items.tolist()
+        expected = int(math.floor(steps + 0.5)) + 1
         if len(self.ranges) != expected:
             raise ValueError(
                 f"range count {len(self.ranges)} != {expected} implied by angle metadata"
@@ -121,18 +133,6 @@ class LaserScan:
 
     def valid_count(self) -> int:
         return sum(1 for r in self.ranges if r >= 0.0)
-
-    def to_text(self) -> str:
-        """One-line header then whitespace-separated ranges (test fixture format)."""
-        header = f"{self.angle_min!r} {self.angle_max!r} {self.angle_increment!r} {self.range_min!r} {self.range_max!r}"
-        return header + "\n" + " ".join(repr(r) for r in self.ranges) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, frame: ScanFrame = ScanFrame.BASE) -> "LaserScan":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        a_min, a_max, inc, r_min, r_max = (float(t) for t in lines[0].split())
-        ranges = [float(t) for ln in lines[1:] for t in ln.split()]
-        return cls(a_min, a_max, inc, r_min, r_max, ranges, frame)
 
 
 @dataclass

@@ -132,31 +132,23 @@ def motion_update(ps: ParticleSet, odom_delta: Pose2D, cfg: MclConfig,
     return ParticleSet(np.column_stack([xs, ys, ths]), ps.weights.copy())
 
 
-def beam_likelihoods(pose: np.ndarray, scan: LaserScan, grid: OccupancyGrid,
-                     dfield: np.ndarray, cfg: MclConfig) -> float:
-    """Log-likelihood of a scan from one pose under the likelihood field."""
-    x, y, th = pose
+def log_likelihoods(poses: np.ndarray, scan: LaserScan, grid: OccupancyGrid,
+                    dfield: np.ndarray, cfg: MclConfig) -> np.ndarray:
+    """Log-likelihood of a scan from each (x, y, theta) row of `poses` under
+    the likelihood field, over every (n // max_beams)-th beam that is valid."""
+    ranges = np.asarray(scan.ranges)
+    beams = np.arange(0, len(ranges), max(1, len(ranges) // cfg.max_beams))
+    beams = beams[ranges[beams] >= 0.0]
+    r = ranges[beams]
+    a = poses[:, 2:3] + (scan.angle_min + beams * scan.angle_increment)
+    col = np.floor((poses[:, 0:1] + r * np.cos(a) - grid.origin.x) / grid.resolution)
+    row = np.floor((poses[:, 1:2] + r * np.sin(a) - grid.origin.y) / grid.resolution)
+    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
+    d = np.full(a.shape, cfg.likelihood_max_dist)
+    d[inside] = dfield[row[inside].astype(np.intp), col[inside].astype(np.intp)]
     norm = 1.0 / (cfg.sigma_hit * math.sqrt(2.0 * math.pi))
-    logp = 0.0
-    n = len(scan.ranges)
-    step = max(1, n // cfg.max_beams)
-    for i in range(0, n, step):
-        r = scan.ranges[i]
-        if r < 0.0:
-            continue
-        a = th + scan.angle(i)
-        ex = x + r * math.cos(a)
-        ey = y + r * math.sin(a)
-        col = int(math.floor((ex - grid.origin.x) / grid.resolution))
-        row = int(math.floor((ey - grid.origin.y) / grid.resolution))
-        if grid.in_bounds(col, row):
-            d = dfield[row, col]
-        else:
-            d = cfg.likelihood_max_dist
-        p = cfg.z_hit * norm * math.exp(-0.5 * (d / cfg.sigma_hit) ** 2)
-        p += cfg.z_rand / scan.range_max
-        logp += math.log(p)
-    return logp
+    p = cfg.z_hit * norm * np.exp(-0.5 * (d / cfg.sigma_hit) ** 2) + cfg.z_rand / scan.range_max
+    return np.log(p).sum(axis=1)
 
 
 def measurement_update(ps: ParticleSet, scan: LaserScan, grid: OccupancyGrid,
@@ -168,7 +160,7 @@ def measurement_update(ps: ParticleSet, scan: LaserScan, grid: OccupancyGrid,
     """
     if scan.valid_count() == 0:
         return ParticleSet(ps.poses.copy(), ps.weights.copy())
-    logw = np.array([beam_likelihoods(p, scan, grid, dfield, cfg) for p in ps.poses])
+    logw = log_likelihoods(ps.poses, scan, grid, dfield, cfg)
     logw -= logw.max()
     w = ps.weights * np.exp(logw)
     total = w.sum()

@@ -19,13 +19,13 @@ from scipy import ndimage
 from .core import (
     FREE,
     OCCUPIED,
+    TWO_PI,
     LaserScan,
     OccupancyGrid,
     Pose2D,
     ScanFrame,
     VelocityCommand,
     normalize_angle,
-    world_to_cell,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -58,9 +58,9 @@ def load_markers(path) -> dict[str, MarkerSpec]:
 class Costmap:
     """Robot-centered rolling obstacle map.
 
-    Obstacle cells are keyed by static-map cell index and remember the
-    body-frame bearing at which they were inserted. Cells leave the window
-    when the robot moves more than half the window size away.
+    Obstacle cells are keyed by (floor(x / resolution), floor(y / resolution))
+    and remember the body-frame bearing at which they were inserted. Cells
+    leave the window when the robot moves more than half the window size away.
     """
 
     def __init__(self, resolution: float, window_size: float = 6.0,
@@ -76,21 +76,20 @@ class Costmap:
         # cell -> bearing recorded at insertion (body frame)
         self.obstacles: dict[tuple[int, int], float] = {}
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.resolution), math.floor(y / self.resolution))
-
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         return ((cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution)
 
-    def is_obstacle(self, cell: tuple[int, int]) -> bool:
-        return cell in self.obstacles
-
-    def _static_explains(self, x: float, y: float) -> bool:
-        """True when the static map has an OCCUPIED cell at or next to (x, y)."""
-        if self.static_grid is None:
-            return False
-        cell = world_to_cell(self.static_grid, x, y)
-        return cell is not None and bool(self._explained[cell[1], cell[0]])
+    def _static_explains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per point: True when the static map has an OCCUPIED cell at or next to it."""
+        explains = np.zeros(len(x), dtype=bool)
+        g = self.static_grid
+        if g is None:
+            return explains
+        col = np.floor((x - g.origin.x) / g.resolution)
+        row = np.floor((y - g.origin.y) / g.resolution)
+        inside = (col >= 0) & (col < g.width) & (row >= 0) & (row < g.height)
+        explains[inside] = self._explained[row[inside].astype(np.intp), col[inside].astype(np.intp)]
+        return explains
 
     def update(self, merged: LaserScan, robot_pose: Pose2D, facing_half_angle: float) -> None:
         """Insert beam endpoints; clear only inside the facing cone.
@@ -101,17 +100,22 @@ class Costmap:
         """
         if merged.frame != ScanFrame.MERGED:
             raise ValueError(f"costmap update requires a MERGED scan, got {merged.frame}")
-        supported: set[tuple[int, int]] = set()
-        for i, r in enumerate(merged.ranges):
-            if r < 0.0:
-                continue
-            a = robot_pose.theta + merged.angle(i)
-            ex = robot_pose.x + r * math.cos(a)
-            ey = robot_pose.y + r * math.sin(a)
-            cell = self.cell_of(ex, ey)
-            supported.add(cell)
-            if not self._static_explains(ex, ey):
-                self.obstacles[cell] = normalize_angle(merged.angle(i))
+        ranges = np.asarray(merged.ranges)
+        beams = np.flatnonzero(ranges >= 0.0)
+        bearings = merged.angle_min + beams * merged.angle_increment
+        a = robot_pose.theta + bearings
+        ex = robot_pose.x + ranges[beams] * np.cos(a)
+        ey = robot_pose.y + ranges[beams] * np.sin(a)
+        cols = np.floor(ex / self.resolution).astype(np.int64)
+        rows = np.floor(ey / self.resolution).astype(np.int64)
+        supported = set(zip(cols.tolist(), rows.tolist()))
+        new = ~self._static_explains(ex, ey)
+        # normalize_angle, exactly: fmod is exact, and so is one 2*pi shift from there
+        wrapped = np.fmod(bearings[new], TWO_PI)
+        wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
+        wrapped = np.where(wrapped <= -math.pi, wrapped + TWO_PI, wrapped)
+        # beam order: a cell hit twice keeps its first slot and its last bearing
+        self.obstacles.update(zip(zip(cols[new].tolist(), rows[new].tolist()), wrapped.tolist()))
 
         half = self.window_size / 2.0
         to_clear = []

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import INVALID_RANGE, LaserScan, ScanFrame, normalize_angle
 
 
@@ -73,9 +75,6 @@ class DepthImage:
         if len(self.depths) != self.width * self.height:
             raise ValueError("depths length must equal width * height")
 
-    def at(self, col: int, row: int) -> float:
-        return self.depths[row * self.width + col]
-
 
 def column_bearing(img: DepthImage, col: int) -> float:
     """Pinhole bearing of an image column; column 0 is leftmost (+Y side)."""
@@ -98,7 +97,7 @@ def depth_image_to_scan(img: DepthImage, cfg: DepthScanConfig) -> LaserScan:
     # beams ordered by increasing angle: rightmost column first
     ranges = []
     for c in reversed(range(n)):
-        d = img.at(c, cfg.slice_row)
+        d = img.depths[cfg.slice_row * img.width + c]
         if d <= 0.0 or not math.isfinite(d):
             ranges.append(INVALID_RANGE)
             continue
@@ -158,23 +157,12 @@ def transform_scan_to_body(
     return LaserScan(lo, lo + (n - 1) * inc, inc, scan.range_min, scan.range_max, ranges, scan.frame)
 
 
-def _lookup(scan: LaserScan, bearing: float, tol: float) -> float:
-    """Nearest beam of `scan` within `tol` of `bearing`, else invalid."""
-    if scan.angle_increment <= 0:
-        return INVALID_RANGE
-    k = int(round((bearing - scan.angle_min) / scan.angle_increment))
-    if not 0 <= k < len(scan.ranges):
-        return INVALID_RANGE
-    if abs(scan.angle(k) - bearing) > tol:
-        return INVALID_RANGE
-    return scan.ranges[k]
-
-
 def combine_base_scans(scans: list[LaserScan], cfg: BaseLaserConfig) -> LaserScan:
     """Stitch the per-laser body-frame scans into one sparse BASE scan.
 
     All sector scans share the same increment; gaps between sectors become
-    invalid bins on the common grid.
+    invalid bins on the common grid. Beams landing in the same bin keep the
+    closer return.
     """
     if not scans:
         raise ValueError("no base scans given")
@@ -182,24 +170,23 @@ def combine_base_scans(scans: list[LaserScan], cfg: BaseLaserConfig) -> LaserSca
     lo = min(s.angle_min for s in scans)
     hi = max(s.angle_max for s in scans)
     n = int(round((hi - lo) / inc)) + 1
-    ranges = [INVALID_RANGE] * n
-    for s in scans:
-        for i, r in enumerate(s.ranges):
-            if r < 0.0:
-                continue
-            k = int(round((s.angle(i) - lo) / inc))
-            if 0 <= k < n and (ranges[k] < 0.0 or r < ranges[k]):
-                ranges[k] = r
-    return LaserScan(lo, lo + (n - 1) * inc, inc, cfg.range_min, cfg.range_max, ranges, ScanFrame.BASE)
+    ranges = np.concatenate([s.ranges for s in scans])
+    bearings = np.concatenate([s.angle_min + np.arange(len(s)) * s.angle_increment for s in scans])
+    k = np.rint((bearings - lo) / inc)
+    keep = (ranges >= 0.0) & (k >= 0) & (k < n)
+    closest = np.full(n, np.inf)
+    np.minimum.at(closest, k[keep].astype(np.intp), ranges[keep])
+    closest[np.isinf(closest)] = INVALID_RANGE
+    return LaserScan(lo, lo + (n - 1) * inc, inc, cfg.range_min, cfg.range_max, closest, ScanFrame.BASE)
 
 
 def merge_scans(base: LaserScan, depth: LaserScan) -> LaserScan:
     """Fuse the sparse base scan and the dense depth scan.
 
     The merged span is the union hull of both inputs at the depth scan's
-    resolution. Overlapping bins take the closer return; bins covered only by
-    the base scan get a value only when a base beam lands within half an
-    increment of the bin center, everything else stays invalid.
+    resolution. Each bin takes the nearest beam of each input that lies within
+    half a depth increment of its center; of two valid returns it keeps the
+    closer one, and with none it stays invalid.
     """
     if base.frame != ScanFrame.BASE or depth.frame != ScanFrame.DEPTH:
         raise ValueError(f"expected BASE + DEPTH scans, got {base.frame} + {depth.frame}")
@@ -208,22 +195,21 @@ def merge_scans(base: LaserScan, depth: LaserScan) -> LaserScan:
     hi = max(base.angle_max, depth.angle_max)
     n = int(math.floor((hi - lo) / inc + 1e-9)) + 1
     tol = inc / 2 + 1e-12
-    ranges = []
-    for k in range(n):
-        a = lo + k * inc
-        rd = _lookup(depth, a, tol)
-        rb = _lookup(base, a, tol)
-        if rd >= 0.0 and rb >= 0.0:
-            ranges.append(min(rd, rb))
-        elif rd >= 0.0:
-            ranges.append(rd)
-        elif rb >= 0.0:
-            ranges.append(rb)
-        else:
-            ranges.append(INVALID_RANGE)
+    bearings = lo + np.arange(n) * inc
+    closest = np.full(n, np.inf)
+    # depth first: on equal ranges the depth return is kept
+    for scan in (depth, base):
+        k = np.rint((bearings - scan.angle_min) / scan.angle_increment)
+        bins = np.flatnonzero((k >= 0) & (k < len(scan)))
+        k = k[bins].astype(np.intp)
+        r = np.asarray(scan.ranges)[k]
+        near = np.abs(scan.angle_min + k * scan.angle_increment - bearings[bins]) <= tol
+        closer = near & (r >= 0.0) & (r < closest[bins])
+        closest[bins[closer]] = r[closer]
+    closest[np.isinf(closest)] = INVALID_RANGE
     return LaserScan(
         lo, lo + (n - 1) * inc, inc,
         min(base.range_min, depth.range_min),
         max(base.range_max, depth.range_max),
-        ranges, ScanFrame.MERGED,
+        closest, ScanFrame.MERGED,
     )

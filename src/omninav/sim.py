@@ -155,10 +155,8 @@ def _scan_from_raycast(world: World, center_bearing: float, fov: float, n_points
     dist = raycast(world, world.robot.x, world.robot.y, angles, range_max, height)
     if noisy and world.noise.range_std > 0:
         dist = dist + world.rng.normal(0.0, world.noise.range_std, size=dist.shape)
-    ranges = [
-        float(d) if (math.isfinite(d) and range_min <= d <= range_max) else INVALID_RANGE
-        for d in dist
-    ]
+    # misses are inf and fail the range test
+    ranges = np.where((dist >= range_min) & (dist <= range_max), dist, INVALID_RANGE)
     return LaserScan(-fov / 2.0, fov / 2.0, inc, range_min, range_max, ranges, frame)
 
 
@@ -289,9 +287,13 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
         parts = body.split()
         try:
             t = float(parts[0])
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite event time {parts[0]!r}")
             kind = parts[1]
             if kind == "cmd":
                 args = (float(parts[2]), float(parts[3]), float(parts[4]))
+                if not all(map(math.isfinite, args)):
+                    raise ValueError(f"non-finite velocity in {body!r}")
             elif kind == "obstacle":
                 if parts[3] not in ("on", "off"):
                     raise ValueError("expected on|off")
@@ -332,6 +334,8 @@ def run_scenario(world: World, events: list[ScenarioEvent], duration: float | No
     """
     if duration is None:
         duration = max((e.t for e in events), default=0.0)
+    elif not math.isfinite(duration):
+        raise ValueError(f"non-finite duration {duration!r}")
     log = [LogRow(world.time, world.robot, Pose2D(), "start")]
     cmd = VelocityCommand()
     pending = list(events)

@@ -14,13 +14,14 @@ Device wire protocol (JSON over HTTP/1.1):
 from __future__ import annotations
 
 import enum
+import http.client
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import requests
 
 
 class Phase(enum.Enum):
@@ -192,36 +193,40 @@ _ACTION_ROUTES = {
 
 def device_command(ep: DeviceEndpoint, verb: str, arg: str | None = None,
                    timeout: float = 2.0, max_retries: int = 3) -> dict:
-    """Issue one device action, retrying transport/status failures.
+    """Issue one device action, retrying transport errors, timeouts and 5xx
+    replies.
 
-    Raises DeviceError after max_retries attempts.
+    Raises DeviceError at once on a 4xx reply or a malformed body, and after
+    max_retries attempts otherwise.
     """
     try:
         method, path, key = _ACTION_ROUTES[(ep.kind, verb)]
     except KeyError:
         raise ValueError(f"action {verb!r} invalid for device kind {ep.kind!r}") from None
-    body = {key: arg} if key is not None else {}
+    body = None if method == "GET" else json.dumps({key: arg} if key is not None else {}).encode()
+    req = urllib.request.Request(ep.base_url + path, data=body, method=method,
+                                 headers={"Content-Type": "application/json"})
     last = "unknown"
     for _ in range(max_retries):
         try:
-            if method == "GET":
-                resp = requests.get(ep.base_url + path, timeout=timeout)
-            else:
-                resp = requests.post(ep.base_url + path, json=body, timeout=timeout)
-        except requests.Timeout:
-            last = "timeout"
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                payload = resp.read()
+        except urllib.error.HTTPError as e:
+            e.close()
+            if e.code < 500:
+                raise DeviceError(f"status {e.code}", ep) from None
+            last = f"status {e.code}"
             continue
-        except requests.RequestException as e:
-            last = f"transport: {e.__class__.__name__}"
-            continue
-        if not 200 <= resp.status_code < 300:
-            last = f"status {resp.status_code}"
+        except (OSError, http.client.HTTPException) as e:
+            # urlopen wraps connect-time errors, timeouts among them, in URLError
+            reason = getattr(e, "reason", e)
+            last = "timeout" if isinstance(reason, TimeoutError) else \
+                f"transport: {type(reason).__name__}"
             continue
         try:
-            return resp.json()
+            return json.loads(payload)
         except ValueError:
-            last = "malformed body"
-            continue
+            raise DeviceError("malformed body", ep) from None
     raise DeviceError(last, ep)
 
 
@@ -232,9 +237,9 @@ def connectivity_check(devices: list[DeviceEndpoint], timeout: float = 2.0) -> d
     report = {}
     for ep in devices:
         try:
-            resp = requests.get(ep.base_url + "/health", timeout=timeout)
-            report[ep.name] = resp.status_code == 200
-        except requests.RequestException:
+            with urllib.request.urlopen(ep.base_url + "/health", timeout=timeout) as resp:
+                report[ep.name] = resp.status == 200
+        except (OSError, http.client.HTTPException):
             report[ep.name] = False
     return report
 
@@ -344,7 +349,8 @@ class TourRunner:
                 self.wfile.write(payload)
 
         self._event_server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
-        threading.Thread(target=self._event_server.serve_forever, daemon=True).start()
+        threading.Thread(target=self._event_server.serve_forever, kwargs={"poll_interval": 0.05},
+                         daemon=True).start()
         return self._event_server.server_address[1]
 
     def stop_event_endpoint(self) -> None:

@@ -4,11 +4,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import omninav
 from omninav import mapgen
 from omninav.cli import main
 from omninav.core import OCCUPIED, PointCloud
+
+
+def run_module(argv, timeout):
+    """`python -m omninav argv` in a subprocess, importing this checkout."""
+    src = str(Path(omninav.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "omninav", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def write_room_cloud(path):
@@ -99,6 +109,32 @@ class TestSimulate:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["nan cmd 0.3 0 0", "0 cmd nan 0 0", "0 cmd 0.3 inf 0"])
+    def test_non_finite_scenario_values_rejected(self, tmp_path, capsys, line):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(f"0 cmd 0 0 0\n{line}\n")
+        assert main(["--out", str(tmp_path / "o"), "simulate", str(scenario)]) == 2
+        assert "scenario line 2: non-finite" in capsys.readouterr().err
+
+    def test_non_finite_duration_rejected(self, tmp_path, capsys):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text("0 cmd 0 0 0\n")
+        assert main(["--out", str(tmp_path / "o"), "simulate", str(scenario),
+                     "--duration", "nan"]) == 2
+        assert "non-finite duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario_text, flags", [
+        ("0 cmd 0 0 0\ninf cmd 0.3 0 0\n", []), ("0 cmd 0 0 0\n", ["--duration", "inf"]),
+    ])
+    def test_infinite_run_is_usage_error(self, tmp_path, scenario_text, flags):
+        # in a subprocess: an infinite end time used to hang the run
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(scenario_text)
+        proc = run_module(["--out", str(tmp_path / "o"), "simulate", str(scenario), *flags],
+                          timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "non-finite" in proc.stderr
+
     def test_goto_marker(self, tmp_path, capsys):
         scenario = tmp_path / "s.txt"
         scenario.write_text("0 goto marker2\n")
@@ -148,6 +184,26 @@ class TestLocalize:
         assert lines[0] == "t,x,y,theta"
         assert len(lines) == 3  # odom row + scan row
 
+    @pytest.mark.parametrize("meta, message", [
+        ("0 1 0 0.1 4", "log.csv:2: angle_increment"),
+        ("0 1", "log.csv:1: scanmeta needs 5 numbers"),
+        ("0 1 0.5 0.1 4 9", "log.csv:1: scanmeta needs 5 numbers"),
+    ])
+    def test_bad_scanmeta_is_usage_error(self, tmp_path, capsys, meta, message):
+        map_path, _ = self._write_fixture(tmp_path)
+        log = tmp_path / "log.csv"
+        log.write_text(f"0.0,scanmeta,{meta}\n0.2,scan,0.9 0.9 0.9\n")
+        rc = main(["--out", str(tmp_path / "o"), "localize", str(log), "--map", str(map_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys):
+        map_path, log = self._write_fixture(tmp_path)
+        log.write_text(log.read_text().replace("0.2,scan,0.9", "0.2,scan,nan"))
+        rc = main(["--out", str(tmp_path / "o"), "localize", str(log), "--map", str(map_path)])
+        assert rc == 2
+        assert "log.csv:3: non-finite range" in capsys.readouterr().err
+
     def test_malformed_log(self, tmp_path):
         map_path, _ = self._write_fixture(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -183,13 +239,7 @@ class TestArgHandling:
         assert main(["map-extract"]) == 2
 
     def test_python_dash_m_entry_point(self, tmp_path):
-        src = str(Path(omninav.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "o"
-        proc = subprocess.run(
-            [sys.executable, "-m", "omninav", "--out", str(out), "controller-demo"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_module(["--out", str(out), "controller-demo"], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert (out / "trajectory.csv").exists()

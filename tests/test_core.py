@@ -98,13 +98,30 @@ class TestLaserScan:
             scan.angle(5)
 
     def test_text_round_trip_exact(self):
+        # a `localize` log writes each range with repr() and reads it back with float()
         scan = LaserScan(-0.5, 0.5, 0.25, 0.05, 3.0,
                          [0.123456789, INVALID_RANGE, 2.0, 1e-3, 2.999999999],
                          ScanFrame.MERGED)
-        back = LaserScan.from_text(scan.to_text(), ScanFrame.MERGED)
+        assert all(type(r) is float for r in scan.ranges)
+        row = " ".join(repr(r) for r in scan.ranges)
+        back = LaserScan(scan.angle_min, scan.angle_max, scan.angle_increment,
+                         scan.range_min, scan.range_max,
+                         [float(t) for t in row.split()], ScanFrame.MERGED)
         assert back.ranges == scan.ranges
-        assert back.angle_min == scan.angle_min
-        assert back.angle_increment == scan.angle_increment
+        assert "np." not in row
+
+    @pytest.mark.parametrize("meta", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.25), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+        (math.nan, 1.0, 0.25), (0.0, math.inf, 0.25), (-1.0, 1.0, 1e-320),
+    ])
+    def test_bad_angle_metadata_rejected(self, meta):
+        with pytest.raises(ValueError):
+            LaserScan(*meta, 0.0, 5.0, [1.0] * 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            LaserScan(-0.5, 0.5, 0.25, 0.0, 5.0, [1.0, bad, 2.0, 3.0, 4.0])
 
 
 class TestOccupancyGrid:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omninav.core import (
     FREE,
@@ -21,6 +22,7 @@ from omninav.localization import (
     estimate,
     init_around,
     init_uniform,
+    log_likelihoods,
     measurement_update,
     motion_update,
     resample,
@@ -37,6 +39,33 @@ def brute_distance_field(grid, max_dist):
             d = np.min(np.hypot(occ[:, 0] - r, occ[:, 1] - c)) * grid.resolution
             out[r, c] = min(d, max_dist)
     return out
+
+
+def oracle_beam_likelihoods(pose, scan, grid, dfield, cfg):
+    """Reference: the scalar log-likelihood of a scan from one pose, one
+    Python step per selected beam."""
+    x, y, th = pose
+    norm = 1.0 / (cfg.sigma_hit * math.sqrt(2.0 * math.pi))
+    logp = 0.0
+    n = len(scan.ranges)
+    step = max(1, n // cfg.max_beams)
+    for i in range(0, n, step):
+        r = scan.ranges[i]
+        if r < 0.0:
+            continue
+        a = th + scan.angle(i)
+        ex = x + r * math.cos(a)
+        ey = y + r * math.sin(a)
+        col = int(math.floor((ex - grid.origin.x) / grid.resolution))
+        row = int(math.floor((ey - grid.origin.y) / grid.resolution))
+        if grid.in_bounds(col, row):
+            d = dfield[row, col]
+        else:
+            d = cfg.likelihood_max_dist
+        p = cfg.z_hit * norm * math.exp(-0.5 * (d / cfg.sigma_hit) ** 2)
+        p += cfg.z_rand / scan.range_max
+        logp += math.log(p)
+    return logp
 
 
 def room_grid(n=20, res=0.1):
@@ -162,6 +191,49 @@ class TestMeasurementUpdate:
         ps = ParticleSet(np.zeros((2, 3)), w)
         out = measurement_update(ps, scan, g, dfield, cfg)
         assert np.array_equal(out.weights, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+        st.integers(1, 60), st.floats(-math.pi, math.pi), st.floats(0.001, 0.2),
+        st.lists(st.one_of(st.just(INVALID_RANGE), st.floats(0.0, 6.0)), min_size=1,
+                 max_size=400),
+        st.floats(1.0, 8.0),
+    )
+    def test_log_likelihoods_match_scalar_oracle(self, seed, ox, oy, max_beams, a0, inc,
+                                                  ranges, range_max):
+        rng = np.random.default_rng(seed)
+        cells = np.where(rng.uniform(size=(30, 40)) < 0.1, OCCUPIED, FREE)
+        g = OccupancyGrid(40, 30, 0.1, Pose2D(ox, oy, 0.0), cells)
+        cfg = MclConfig(particle_count=50, max_beams=max_beams)
+        dfield = distance_field(g, cfg.likelihood_max_dist)
+        scan = LaserScan(a0, a0 + (len(ranges) - 1) * inc, inc, 0.05, range_max, ranges,
+                         ScanFrame.MERGED)
+        # some particles start off the map
+        poses = np.column_stack([rng.uniform(ox - 1.0, ox + 5.0, 50),
+                                 rng.uniform(oy - 1.0, oy + 4.0, 50),
+                                 rng.uniform(-math.pi, math.pi, 50)])
+        want = [oracle_beam_likelihoods(p, scan, g, dfield, cfg) for p in poses]
+        got = log_likelihoods(poses, scan, g, dfield, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_log_likelihoods_match_oracle_on_lab_scans(self, lab_nav_map):
+        from omninav import worlds
+        from omninav.sim import NoiseModel, sense_merged
+
+        world = worlds.lab_world(noise=NoiseModel(range_std=0.01, rng_seed=1))
+        cfg = MclConfig()
+        dfield = distance_field(lab_nav_map, cfg.likelihood_max_dist)
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            world.robot = Pose2D(rng.uniform(1.0, 19.0), rng.uniform(1.0, 14.0),
+                                 rng.uniform(-math.pi, math.pi))
+            scan = sense_merged(world, noisy=True)
+            poses = np.array([world.robot.x, world.robot.y, world.robot.theta]) + \
+                rng.normal(0.0, [0.3, 0.3, 0.2], size=(100, 3))
+            want = [oracle_beam_likelihoods(p, scan, lab_nav_map, dfield, cfg) for p in poses]
+            got = log_likelihoods(poses, scan, lab_nav_map, dfield, cfg)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_collapse_flags_degenerate(self):
         g, cfg, dfield = self._setup()

@@ -15,6 +15,7 @@ from omninav.core import (
     Pose2D,
     ScanFrame,
     cell_center,
+    normalize_angle,
     world_to_cell,
 )
 from omninav.navigate import NO_PATH, Navigator
@@ -61,11 +62,15 @@ def dijkstra_cost(blocked, start, goal):
     return math.inf
 
 
+def cell_of(cm, x, y):
+    return (math.floor(x / cm.resolution), math.floor(y / cm.resolution))
+
+
 def oracle_blocks(cm, x, y):
     """Reference implementation: probe every cell of the (2r+1)^2 window
     around (x, y) for an obstacle within the inflation radius."""
     r_cells = int(math.ceil(cm.inflation_radius / cm.resolution))
-    c0 = cm.cell_of(x, y)
+    c0 = cell_of(cm, x, y)
     for dc in range(-r_cells, r_cells + 1):
         for dr in range(-r_cells, r_cells + 1):
             cell = (c0[0] + dc, c0[1] + dr)
@@ -88,6 +93,19 @@ def oracle_static_explains(grid, x, y):
             if grid.in_bounds(col, row) and grid.cells[row, col] == OCCUPIED:
                 return True
     return False
+
+
+def oracle_insert(cm, merged, pose):
+    """Reference implementation of Costmap.update's insertion: one Python
+    step per valid beam, in beam order."""
+    for i, r in enumerate(merged.ranges):
+        if r < 0.0:
+            continue
+        a = pose.theta + merged.angle(i)
+        ex = pose.x + r * math.cos(a)
+        ey = pose.y + r * math.sin(a)
+        if cm.static_grid is None or not oracle_static_explains(cm.static_grid, ex, ey):
+            cm.obstacles[cell_of(cm, ex, ey)] = normalize_angle(merged.angle(i))
 
 
 def planner_on(grid, robot, inflation_radius=0.4):
@@ -247,7 +265,14 @@ class TestCostmap:
         assert len(cm.obstacles) == 1
         (cell, bearing), = cm.obstacles.items()
         assert bearing == pytest.approx(0.0)
-        assert cm.is_obstacle(cell)
+        assert cell == (20, 0)
+
+    def test_bearing_wraps_like_normalize_angle(self):
+        cm = Costmap(0.05)
+        scan = merged_scan([1.0, 1.0, 1.0], angle_min=-math.pi, inc=math.pi)
+        cm.update(scan, Pose2D(0, 0, 0), -1.0)
+        assert list(cm.obstacles.values()) == [normalize_angle(scan.angle(i)) for i in range(3)]
+        assert list(cm.obstacles.values())[0] == math.pi
 
     def test_no_clear_when_not_facing(self):
         cm = Costmap(0.05)
@@ -325,9 +350,41 @@ class TestCostmap:
         cells = rng.choice([FREE, OCCUPIED, UNKNOWN], size=(h, w), p=[0.7, 0.15, 0.15])
         g = OccupancyGrid(w, h, res, Pose2D(ox, oy, 0.0), cells)
         cm = Costmap(res, static_grid=g)
-        for fx, fy in fractions:
-            x, y = ox + fx * w * res, oy + fy * h * res
-            assert cm._static_explains(x, y) == oracle_static_explains(g, x, y)
+        xs = [ox + fx * w * res for fx, _ in fractions]
+        ys = [oy + fy * h * res for _, fy in fractions]
+        got = cm._static_explains(np.array(xs), np.array(ys))
+        assert got.tolist() == [oracle_static_explains(g, x, y) for x, y in zip(xs, ys)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0.05, 0.1, 0.13]),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-math.pi, math.pi)),
+        st.floats(-7.0, 7.0), st.floats(0.01, 0.5),
+        st.lists(st.one_of(st.just(INVALID_RANGE), st.floats(0.0, 4.0)), min_size=1,
+                 max_size=40),
+        st.dictionaries(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                        st.floats(-math.pi, math.pi), max_size=10),
+        st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1), st.floats(-3.0, 0.0),
+                                       st.floats(-3.0, 0.0))),
+    )
+    def test_update_inserts_like_beam_loop_oracle(self, res, pose, angle_min, inc, ranges,
+                                                  existing, static):
+        g = None
+        if static is not None:
+            seed, ox, oy = static
+            cells = np.random.default_rng(seed).choice([FREE, OCCUPIED], size=(50, 50),
+                                                       p=[0.8, 0.2])
+            g = OccupancyGrid(50, 50, 0.1, Pose2D(ox, oy, 0.0), cells)
+        scan = merged_scan(ranges, angle_min=angle_min, inc=inc)
+        pose = Pose2D(*pose)
+        # a huge window and an empty facing cone: update() only inserts
+        cm = Costmap(res, window_size=1e6, static_grid=g)
+        cm.obstacles = dict(existing)
+        cm.update(scan, pose, -1.0)
+        want = Costmap(res, window_size=1e6, static_grid=g)
+        want.obstacles = dict(existing)
+        oracle_insert(want, scan, pose)
+        assert list(cm.obstacles.items()) == list(want.obstacles.items())
 
 
 class TestPlanLocal:

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omninav.core import INVALID_RANGE, LaserScan, ScanFrame
+from omninav.core import INVALID_RANGE, LaserScan, Pose2D, ScanFrame
 from omninav.sensing import (
     BaseLaserConfig,
     DepthImage,
@@ -22,6 +24,79 @@ def _base_sector(center_unused=0.0, ranges=None, cfg=None):
     half = cfg.fov_per_laser / 2.0
     return LaserScan(-half, half, cfg.angle_increment, cfg.range_min, cfg.range_max,
                      ranges, ScanFrame.BASE)
+
+
+def oracle_lookup(scan, bearing, tol):
+    """Reference: nearest beam of `scan` within `tol` of `bearing`, else invalid."""
+    k = int(round((bearing - scan.angle_min) / scan.angle_increment))
+    if not 0 <= k < len(scan.ranges):
+        return INVALID_RANGE
+    if abs(scan.angle(k) - bearing) > tol:
+        return INVALID_RANGE
+    return scan.ranges[k]
+
+
+def oracle_merge(base, depth):
+    """Reference merge_scans: one oracle_lookup per input per merged bin."""
+    inc = depth.angle_increment
+    lo = min(base.angle_min, depth.angle_min)
+    hi = max(base.angle_max, depth.angle_max)
+    n = int(math.floor((hi - lo) / inc + 1e-9)) + 1
+    tol = inc / 2 + 1e-12
+    ranges = []
+    for k in range(n):
+        a = lo + k * inc
+        rd = oracle_lookup(depth, a, tol)
+        rb = oracle_lookup(base, a, tol)
+        if rd >= 0.0 and rb >= 0.0:
+            ranges.append(min(rd, rb))
+        elif rd >= 0.0:
+            ranges.append(rd)
+        elif rb >= 0.0:
+            ranges.append(rb)
+        else:
+            ranges.append(INVALID_RANGE)
+    return LaserScan(lo, lo + (n - 1) * inc, inc, min(base.range_min, depth.range_min),
+                     max(base.range_max, depth.range_max), ranges, ScanFrame.MERGED)
+
+
+def oracle_combine(scans, cfg):
+    """Reference combine_base_scans: one Python step per sector beam."""
+    inc = cfg.angle_increment
+    lo = min(s.angle_min for s in scans)
+    hi = max(s.angle_max for s in scans)
+    n = int(round((hi - lo) / inc)) + 1
+    ranges = [INVALID_RANGE] * n
+    for s in scans:
+        for i, r in enumerate(s.ranges):
+            if r < 0.0:
+                continue
+            k = int(round((s.angle(i) - lo) / inc))
+            if 0 <= k < n and (ranges[k] < 0.0 or r < ranges[k]):
+                ranges[k] = r
+    return LaserScan(lo, lo + (n - 1) * inc, inc, cfg.range_min, cfg.range_max, ranges,
+                     ScanFrame.BASE)
+
+
+def assert_same_scan(got, want):
+    assert got.frame == want.frame
+    assert (got.angle_min, got.angle_max, got.angle_increment) == \
+        (want.angle_min, want.angle_max, want.angle_increment)
+    assert (got.range_min, got.range_max) == (want.range_min, want.range_max)
+    # bit for bit, and still Python floats
+    assert [r.hex() for r in got.ranges] == [r.hex() for r in want.ranges]
+
+
+# invalid returns often, so that many bins pair a -1 with a return
+_RANGE = st.one_of(st.just(INVALID_RANGE), st.floats(0.0, 5.0))
+
+
+@st.composite
+def _scans(draw, frame, angle_min, inc, max_beams):
+    a0 = draw(angle_min)
+    step = draw(inc)
+    ranges = draw(st.lists(_RANGE, min_size=1, max_size=max_beams))
+    return LaserScan(a0, a0 + (len(ranges) - 1) * step, step, 0.05, 5.0, ranges, frame)
 
 
 class TestDepthExtraction:
@@ -119,6 +194,16 @@ class TestCombineBase:
         with pytest.raises(ValueError):
             combine_base_scans([], BaseLaserConfig())
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.lists(_RANGE, min_size=1, max_size=20)),
+                    min_size=1, max_size=4))
+    def test_matches_beam_loop_oracle(self, sectors):
+        cfg = BaseLaserConfig()
+        inc = cfg.angle_increment
+        scans = [LaserScan(a0, a0 + (len(r) - 1) * inc, inc, cfg.range_min, cfg.range_max, r,
+                           ScanFrame.BASE) for a0, r in sectors]
+        assert_same_scan(combine_base_scans(scans, cfg), oracle_combine(scans, cfg))
+
 
 class TestMerge:
     def _small_pair(self, base_ranges, depth_ranges):
@@ -157,6 +242,39 @@ class TestMerge:
         base, depth = self._small_pair([INVALID_RANGE] * 5, [INVALID_RANGE] * 5)
         merged = merge_scans(base, depth)
         assert merged.valid_count() == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scans(ScanFrame.BASE, st.floats(-2.5, 0.5), st.floats(0.02, 0.3), 40),
+           _scans(ScanFrame.DEPTH, st.floats(-1.0, 0.5), st.floats(0.005, 0.05), 120))
+    def test_matches_lookup_oracle(self, base, depth):
+        assert_same_scan(merge_scans(base, depth), oracle_merge(base, depth))
+
+    def test_sensor_scans_match_oracle(self):
+        # the simulator's own layout: 57 base bins, 320 depth beams
+        from omninav import worlds
+        from omninav.sim import NoiseModel, sense_base, sense_depth
+
+        world = worlds.lab_world(noise=NoiseModel(range_std=0.01, rng_seed=3))
+        rng = np.random.default_rng(3)
+        mixed = 0
+        for _ in range(20):
+            world.robot = Pose2D(rng.uniform(1.0, 19.0), rng.uniform(1.0, 14.0),
+                                 rng.uniform(-math.pi, math.pi))
+            sectors = [transform_scan_to_body(s, c)
+                       for s, c in zip(sense_base(world, True), world.base_cfg.centers)]
+            base = combine_base_scans(sectors, world.base_cfg)
+            assert_same_scan(base, oracle_combine(sectors, world.base_cfg))
+            depth = sense_depth(world, True)
+            merged = merge_scans(base, depth)
+            assert_same_scan(merged, oracle_merge(base, depth))
+            # inside the depth span every bin has a depth beam: count the bins
+            # where it is invalid while the base scan has a return
+            tol = depth.angle_increment / 2 + 1e-12
+            inside = [merged.angle(k) for k in range(len(merged))
+                      if depth.angle_min <= merged.angle(k) <= depth.angle_max]
+            mixed += sum(oracle_lookup(base, a, tol) >= 0.0 > oracle_lookup(depth, a, tol)
+                         for a in inside)
+        assert mixed > 0
 
     def test_range_limits_union(self):
         base, depth = self._small_pair([1.0] * 5, [1.0] * 5)

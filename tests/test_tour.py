@@ -1,5 +1,11 @@
+import json
+import threading
+import urllib.error
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
-import requests
 
 from omninav.mockdev import ROBOT, TELEVISION, MockConfig, MockDeviceServer
 from omninav.tour import (
@@ -45,8 +51,51 @@ def make_mocks(**overrides):
 
 
 def stop_all(mocks):
-    for m in mocks.values():
-        m.stop()
+    # each stop() waits out up to one serve_forever poll: overlap the waits
+    with ThreadPoolExecutor() as pool:
+        list(pool.map(MockDeviceServer.stop, mocks.values()))
+
+
+def http(url, json_body=None, data=None):
+    """(status, body) of one raw request: a POST when a body is given."""
+    if json_body is not None:
+        data = json.dumps(json_body).encode()
+    headers = {} if data is None else {"Content-Type": "application/json"}
+    try:
+        with urllib.request.urlopen(urllib.request.Request(url, data, headers), timeout=2) as r:
+            return r.status, r.read()
+    except urllib.error.HTTPError as e:
+        with e:
+            return e.code, e.read()
+
+
+class CountingServer:
+    """Answers every request with one fixed status and counts the requests."""
+
+    def __init__(self, status):
+        self.requests = 0
+        counter = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                counter.requests += 1
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                self.send_response(status)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.05},
+                         daemon=True).start()
+        self.endpoint = DeviceEndpoint("dev", f"http://127.0.0.1:{self._server.server_address[1]}",
+                                       "robot")
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
 
 
 class TestStateMachine:
@@ -143,11 +192,10 @@ class TestDeviceProtocol:
         mocks, devices, _ = make_mocks()
         try:
             tv = next(d for d in devices if d.name == "tv_harvey")
-            resp = requests.post(tv.base_url + "/media/play",
-                                 json={"id": "harvey_field_video"}, timeout=2)
-            assert resp.content == b'{"ok":true}'
-            health = requests.get(tv.base_url + "/health", timeout=2)
-            assert health.json() == {"status": "ok"}
+            _, content = http(tv.base_url + "/media/play", {"id": "harvey_field_video"})
+            assert content == b'{"ok":true}'
+            _, health = http(tv.base_url + "/health")
+            assert json.loads(health) == {"status": "ok"}
         finally:
             stop_all(mocks)
 
@@ -160,6 +208,17 @@ class TestDeviceProtocol:
             assert "status 404" in str(exc.value)
         finally:
             stop_all(mocks)
+
+    @pytest.mark.parametrize("status, attempts", [(404, 1), (409, 1), (503, 3)])
+    def test_only_5xx_is_retried(self, status, attempts):
+        server = CountingServer(status)
+        try:
+            with pytest.raises(DeviceError) as exc:
+                device_command(server.endpoint, "pick", "item_1", max_retries=3)
+        finally:
+            server.close()
+        assert f"status {status}" in str(exc.value)
+        assert server.requests == attempts
 
     def test_fail_all_device(self):
         mocks, devices, _ = make_mocks(
@@ -248,12 +307,11 @@ class TestRunner:
         port = runner.start_event_endpoint()
         try:
             url = f"http://127.0.0.1:{port}/event"
-            resp = requests.post(url, json={"name": "button", "arg": "start"}, timeout=2)
-            assert resp.status_code == 200
-            assert resp.content == b'{"ok":true}'
+            status, content = http(url, {"name": "button", "arg": "start"})
+            assert status == 200
+            assert content == b'{"ok":true}'
             assert runner.events == [Event("button", "start")]
-            assert requests.post(url, data=b"not json", timeout=2).status_code == 400
-            assert requests.post(f"http://127.0.0.1:{port}/other",
-                                 json={}, timeout=2).status_code == 404
+            assert http(url, data=b"not json")[0] == 400
+            assert http(f"http://127.0.0.1:{port}/other", {})[0] == 404
         finally:
             runner.stop_event_endpoint()
