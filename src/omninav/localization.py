@@ -158,7 +158,7 @@ def measurement_update(ps: ParticleSet, scan: LaserScan, grid: OccupancyGrid,
     A scan with no valid beams leaves the weights untouched. If every weight
     collapses to zero the set is reset to uniform and flagged degenerate.
     """
-    if scan.valid_count() == 0:
+    if not any(r >= 0.0 for r in scan.ranges):
         return ParticleSet(ps.poses.copy(), ps.weights.copy())
     logw = log_likelihoods(ps.poses, scan, grid, dfield, cfg)
     logw -= logw.max()

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy import ndimage
 
 from .core import (
     INVALID_RANGE,
@@ -37,9 +39,6 @@ class Obstacle:
     z_max: float = 2.0
     active: bool = True
 
-    def visible_at(self, height: float) -> bool:
-        return self.active and self.z_min <= height <= self.z_max
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -55,6 +54,12 @@ class NoiseModel:
 
 @dataclass
 class World:
+    """Simulated robot, static grid and analytic obstacles.
+
+    The grid's static clearance field is built once, here: `grid.cells` must
+    not change after the World is constructed.
+    """
+
     grid: OccupancyGrid
     obstacles: list[Obstacle] = field(default_factory=list)
     robot: Pose2D = field(default_factory=Pose2D)
@@ -66,6 +71,18 @@ class World:
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.noise.rng_seed)
+        # The OCCUPIED mask and, per cell, the chessboard distance in cells to
+        # the nearest OCCUPIED cell (capped at 255), which is never more than
+        # the Euclidean one. Both are padded by one free cell, so an index
+        # clipped to [-1, n] reads off-grid as free with no clearance.
+        occupied = self.grid.cells == OCCUPIED
+        if occupied.any():
+            cb = ndimage.distance_transform_cdt(~occupied, metric="chessboard")
+            clearance = np.minimum(cb, 255).astype(np.uint8)
+        else:
+            clearance = np.full(occupied.shape, 255, dtype=np.uint8)
+        self._occupied = np.pad(occupied, 1)
+        self._clearance = np.pad(clearance, 1)
 
     def obstacle_by_id(self, oid: str) -> Obstacle:
         for o in self.obstacles:
@@ -74,24 +91,66 @@ class World:
         raise KeyError(f"no obstacle {oid!r}")
 
 
-def _grid_raycast(grid: OccupancyGrid, ox: float, oy: float, angles: np.ndarray,
-                  max_range: float) -> np.ndarray:
-    """Sampled ray march against OCCUPIED static cells; inf where no hit."""
-    step = grid.resolution / 2.0
-    n_steps = int(max_range / step) + 1
-    s = np.arange(1, n_steps + 1) * step
+# the samples a live beam checks per march iteration, and per clearance (in
+# cells) of a sample's cell, the samples the march skips past it
+_BLOCK = np.arange(8)
+_SKIP = np.maximum(2 * np.arange(256) - 4, 0)
+
+
+def _grid_raycast(world: World, ox: float, oy: float, angles: np.ndarray,
+                  max_range: float | np.ndarray) -> np.ndarray:
+    """Sampled ray march against OCCUPIED static cells; inf where no hit.
+
+    Samples lie every resolution/2 along each beam, out to max_range (one
+    value, or one per beam) plus one step; the first sample in an OCCUPIED
+    cell is the hit. Each live beam checks 8 consecutive samples per
+    iteration, then skips the samples the clearance field proves free, as
+    sphere tracing does: when a sample's cell is at chessboard distance cb
+    from the nearest OCCUPIED cell, every point within cb - 1 cells of the
+    sample lies in a non-OCCUPIED cell, so the next 2*cb - 2 samples cannot
+    hit. The march skips 2*cb - 4 of them, keeping a sample of margin for
+    rounding. The origin is sample 0 and skips the same way. A beam drops
+    out at its hit or past its last sample.
+    """
+    g = world.grid
+    res, x0, y0, w, h = g.resolution, g.origin.x, g.origin.y, g.width, g.height
+    step = res / 2.0
+    n_steps = (np.broadcast_to(max_range, angles.shape) / step).astype(np.intp) + 1
+    occupied = world._occupied.ravel()
+    clearance = world._clearance.ravel()
+    dist = np.full(angles.shape, np.inf)
+    col0 = math.floor((ox - x0) / res)
+    row0 = math.floor((oy - y0) / res)
+    k0 = 1
+    if 0 <= col0 < w and 0 <= row0 < h:
+        k0 += int(_SKIP[world._clearance[row0 + 1, col0 + 1]])
+    live = np.arange(angles.size)
+    k = np.full(angles.size, k0)
     cos_a = np.cos(angles)[:, None]
     sin_a = np.sin(angles)[:, None]
-    xs = ox + cos_a * s[None, :]
-    ys = oy + sin_a * s[None, :]
-    cols = np.floor((xs - grid.origin.x) / grid.resolution).astype(int)
-    rows = np.floor((ys - grid.origin.y) / grid.resolution).astype(int)
-    inb = (cols >= 0) & (cols < grid.width) & (rows >= 0) & (rows < grid.height)
-    occ = np.zeros(cols.shape, dtype=bool)
-    occ[inb] = grid.cells[rows[inb], cols[inb]] == OCCUPIED
-    hit_any = occ.any(axis=1)
-    first = np.where(hit_any, occ.argmax(axis=1), 0)
-    dist = np.where(hit_any, s[first], np.inf)
+    while live.size:
+        ks = k[:, None] + _BLOCK
+        s = ks * step
+        cols = np.floor((ox + cos_a * s - x0) / res).astype(np.intp)
+        rows = np.floor((oy + sin_a * s - y0) / res).astype(np.intp)
+        # off-grid samples read the free, zero-clearance padding
+        np.minimum(np.maximum(cols, -1, out=cols), w, out=cols)
+        np.minimum(np.maximum(rows, -1, out=rows), h, out=rows)
+        cells = rows * (w + 2)
+        cells += cols
+        cells += w + 3
+        hit = occupied[cells]
+        k_hit = k + hit.argmax(axis=1)
+        hit_ok = hit.any(axis=1) & (k_hit <= n_steps)
+        # skip from the block's last sample, the furthest along the beam
+        k = ks[:, -1] + 1 + _SKIP[clearance[cells[:, -1]]]
+        keep = k <= n_steps
+        if hit_ok.any():
+            dist[live[hit_ok]] = k_hit[hit_ok] * step
+            keep &= ~hit_ok
+        if not keep.all():
+            live, k, n_steps = live[keep], k[keep], n_steps[keep]
+            cos_a, sin_a = cos_a[keep], sin_a[keep]
     return dist
 
 
@@ -102,14 +161,12 @@ def _disk_raycast(ox, oy, angles: np.ndarray, cx, cy, radius) -> np.ndarray:
     b = dx * fx + dy * fy
     c = fx * fx + fy * fy - radius * radius
     disc = b * b - c
-    t = np.full(angles.shape, np.inf)
     ok = disc >= 0
     sq = np.sqrt(np.where(ok, disc, 0.0))
     t1 = -b - sq
     t2 = -b + sq
     tt = np.where(t1 > 1e-9, t1, np.where(t2 > 1e-9, t2, np.inf))
-    t[ok] = tt[ok]
-    return t
+    return np.where(ok, tt, np.inf)
 
 
 def _segment_raycast(ox, oy, angles: np.ndarray, x1, y1, x2, y2) -> np.ndarray:
@@ -117,7 +174,6 @@ def _segment_raycast(ox, oy, angles: np.ndarray, x1, y1, x2, y2) -> np.ndarray:
     dy = np.sin(angles)
     ex, ey = x2 - x1, y2 - y1
     denom = dx * ey - dy * ex
-    t = np.full(angles.shape, np.inf)
     ok = np.abs(denom) > 1e-12
     # solve origin + t*d == p1 + u*e
     rx, ry = x1 - ox, y1 - oy
@@ -125,88 +181,120 @@ def _segment_raycast(ox, oy, angles: np.ndarray, x1, y1, x2, y2) -> np.ndarray:
         tt = (rx * ey - ry * ex) / denom
         uu = (rx * dy - ry * dx) / denom
     hit = ok & (tt > 1e-9) & (uu >= 0.0) & (uu <= 1.0)
-    t[hit] = tt[hit]
-    return t
+    return np.where(hit, tt, np.inf)
+
+
+_RAYCASTS = {"disk": _disk_raycast, "segment": _segment_raycast}
 
 
 def raycast(world: World, ox: float, oy: float, angles: np.ndarray,
-            max_range: float, sensor_height: float) -> np.ndarray:
-    """Shortest hit distance per world-frame angle, inf where nothing hit."""
-    dist = _grid_raycast(world.grid, ox, oy, angles, max_range)
+            max_range: float | np.ndarray, sensor_height: float | np.ndarray) -> np.ndarray:
+    """Shortest hit distance per world-frame angle, inf where nothing hit.
+
+    max_range and sensor_height are one value for all angles or one per angle.
+    Obstacles of one kind are cast together, one row per obstacle.
+    """
     for ob in world.obstacles:
-        if not ob.visible_at(sensor_height):
-            continue
-        if ob.kind == "disk":
-            d = _disk_raycast(ox, oy, angles, *ob.params)
-        elif ob.kind == "segment":
-            d = _segment_raycast(ox, oy, angles, *ob.params)
-        else:
+        if ob.kind not in _RAYCASTS:
             raise ValueError(f"unknown obstacle kind {ob.kind!r}")
-        dist = np.minimum(dist, d)
+    dist = _grid_raycast(world, ox, oy, angles, max_range)
+    for kind, cast in _RAYCASTS.items():
+        obs = [ob for ob in world.obstacles if ob.kind == kind and ob.active]
+        if not obs:
+            continue
+        z_min, z_max = np.array([(ob.z_min, ob.z_max) for ob in obs]).T[:, :, None]
+        seen = (z_min <= sensor_height) & (sensor_height <= z_max)
+        if not seen.any():
+            continue
+        d = cast(ox, oy, angles, *np.array([ob.params for ob in obs]).T[:, :, None])
+        dist = np.minimum(dist, np.where(seen, d, np.inf).min(axis=0))
     return dist
 
 
-def _scan_from_raycast(world: World, center_bearing: float, fov: float, n_points: int,
-                       range_min: float, range_max: float, height: float,
-                       frame: ScanFrame, noisy: bool) -> LaserScan:
-    inc = fov / (n_points - 1)
-    bearings = np.linspace(-fov / 2.0, fov / 2.0, n_points)
-    angles = world.robot.theta + center_bearing + bearings
-    dist = raycast(world, world.robot.x, world.robot.y, angles, range_max, height)
-    if noisy and world.noise.range_std > 0:
-        dist = dist + world.rng.normal(0.0, world.noise.range_std, size=dist.shape)
-    # misses are inf and fail the range test
-    ranges = np.where((dist >= range_min) & (dist <= range_max), dist, INVALID_RANGE)
-    return LaserScan(-fov / 2.0, fov / 2.0, inc, range_min, range_max, ranges, frame)
+class _Sensor(NamedTuple):
+    center: float  # body-frame bearing of the scan's middle beam
+    fov: float
+    points: int
+    range_min: float
+    range_max: float
+    height: float
+    frame: ScanFrame
+
+
+def _base_sensors(cfg: BaseLaserConfig) -> list[_Sensor]:
+    return [_Sensor(c, cfg.fov_per_laser, cfg.points_per_laser, cfg.range_min, cfg.range_max,
+                    cfg.mount_height, ScanFrame.BASE) for c in cfg.centers]
+
+
+def _depth_sensor(cfg: DepthScanConfig) -> _Sensor:
+    return _Sensor(0.0, cfg.fov, cfg.points, cfg.range_min, cfg.range_max, cfg.mount_height,
+                   ScanFrame.DEPTH)
+
+
+def _sense(world: World, sensors: list[_Sensor], noisy: bool) -> list[LaserScan]:
+    """One scan per sensor, from one raycast over all their beams. Range noise
+    is drawn sensor by sensor, in order."""
+    counts = [s.points for s in sensors]
+    angles = np.concatenate([
+        world.robot.theta + s.center + np.linspace(-s.fov / 2.0, s.fov / 2.0, s.points)
+        for s in sensors
+    ])
+    dist = raycast(world, world.robot.x, world.robot.y, angles,
+                   np.repeat([s.range_max for s in sensors], counts),
+                   np.repeat([s.height for s in sensors], counts))
+    scans = []
+    for s, d in zip(sensors, np.split(dist, np.cumsum(counts)[:-1])):
+        if noisy and world.noise.range_std > 0:
+            d = d + world.rng.normal(0.0, world.noise.range_std, size=d.shape)
+        # misses are inf and fail the range test
+        ranges = np.where((d >= s.range_min) & (d <= s.range_max), d, INVALID_RANGE)
+        scans.append(LaserScan(-s.fov / 2.0, s.fov / 2.0, s.fov / (s.points - 1), s.range_min,
+                               s.range_max, ranges, s.frame))
+    return scans
 
 
 def sense_base(world: World, noisy: bool = False) -> list[LaserScan]:
     """One sparse scan per base laser, each in its own sensor frame."""
-    cfg = world.base_cfg
-    return [
-        _scan_from_raycast(
-            world, c, cfg.fov_per_laser, cfg.points_per_laser,
-            cfg.range_min, cfg.range_max, cfg.mount_height, ScanFrame.BASE, noisy,
-        )
-        for c in cfg.centers
-    ]
+    return _sense(world, _base_sensors(world.base_cfg), noisy)
 
 
 def sense_depth(world: World, noisy: bool = False) -> LaserScan:
     """Dense forward scan at the depth camera's mount height."""
-    cfg = world.depth_cfg
-    return _scan_from_raycast(
-        world, 0.0, cfg.fov, cfg.points, cfg.range_min, cfg.range_max,
-        cfg.mount_height, ScanFrame.DEPTH, noisy,
-    )
+    return _sense(world, [_depth_sensor(world.depth_cfg)], noisy)[0]
 
 
 def sense_merged(world: World, noisy: bool = False) -> LaserScan:
     """Base scans transformed to body, stitched, and merged with depth."""
-    base = [
-        transform_scan_to_body(s, c)
-        for s, c in zip(sense_base(world, noisy), world.base_cfg.centers)
-    ]
+    *scans, depth = _sense(
+        world, _base_sensors(world.base_cfg) + [_depth_sensor(world.depth_cfg)], noisy)
+    base = [transform_scan_to_body(s, c) for s, c in zip(scans, world.base_cfg.centers)]
     combined = combine_base_scans(base, world.base_cfg)
-    return merge_scans(combined, sense_depth(world, noisy))
+    return merge_scans(combined, depth)
 
 
 def _collides(world: World, x: float, y: float) -> bool:
     """Robot disk vs static cells and active full-footprint obstacles."""
     g = world.grid
     r = world.robot_radius
-    c_lo = math.floor((x - r - g.origin.x) / g.resolution)
-    c_hi = math.floor((x + r - g.origin.x) / g.resolution)
-    r_lo = math.floor((y - r - g.origin.y) / g.resolution)
-    r_hi = math.floor((y + r - g.origin.y) / g.resolution)
-    for row in range(max(0, r_lo), min(g.height - 1, r_hi) + 1):
-        for col in range(max(0, c_lo), min(g.width - 1, c_hi) + 1):
-            if g.cells[row, col] != OCCUPIED:
-                continue
-            nx = min(max(x, g.origin.x + col * g.resolution), g.origin.x + (col + 1) * g.resolution)
-            ny = min(max(y, g.origin.y + row * g.resolution), g.origin.y + (row + 1) * g.resolution)
-            if math.hypot(nx - x, ny - y) < r:
-                return True
+    col = math.floor((x - g.origin.x) / g.resolution)
+    row = math.floor((y - g.origin.y) / g.resolution)
+    # no OCCUPIED cell within r of the centre when the centre's cell clears
+    # r/resolution cells plus its in-cell offset and a rounding margin
+    clear = (0 <= col < g.width and 0 <= row < g.height
+             and world._clearance[row + 1, col + 1] > r / g.resolution + math.sqrt(2.0))
+    if not clear:
+        c_lo = math.floor((x - r - g.origin.x) / g.resolution)
+        c_hi = math.floor((x + r - g.origin.x) / g.resolution)
+        r_lo = math.floor((y - r - g.origin.y) / g.resolution)
+        r_hi = math.floor((y + r - g.origin.y) / g.resolution)
+        for row in range(max(0, r_lo), min(g.height - 1, r_hi) + 1):
+            for col in range(max(0, c_lo), min(g.width - 1, c_hi) + 1):
+                if g.cells[row, col] != OCCUPIED:
+                    continue
+                nx = min(max(x, g.origin.x + col * g.resolution), g.origin.x + (col + 1) * g.resolution)
+                ny = min(max(y, g.origin.y + row * g.resolution), g.origin.y + (row + 1) * g.resolution)
+                if math.hypot(nx - x, ny - y) < r:
+                    return True
     for ob in world.obstacles:
         if not ob.active:
             continue

@@ -244,6 +244,24 @@ def connectivity_check(devices: list[DeviceEndpoint], timeout: float = 2.0) -> d
     return report
 
 
+def _parse_event(body: bytes) -> Event:
+    """The Event in a POST /event body: a JSON object with a string "name" and
+    an optional string or null "arg". Raises ValueError otherwise, also for a
+    body that is not UTF-8 or not JSON."""
+    try:
+        data = json.loads(body or b"{}")
+    except RecursionError:
+        raise ValueError("event body nests too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("event body must be a JSON object")
+    name, arg = data.get("name"), data.get("arg")
+    if not isinstance(name, str):
+        raise ValueError('event "name" must be a string')
+    if arg is not None and not isinstance(arg, str):
+        raise ValueError('event "arg" must be a string or null')
+    return Event(name, arg)
+
+
 class TourRunner:
     """Event-queue driven mission executor.
 
@@ -333,14 +351,16 @@ class TourRunner:
                     self.send_response(404)
                     self.end_headers()
                     return
-                length = int(self.headers.get("Content-Length") or 0)
                 try:
-                    body = json.loads(self.rfile.read(length) or b"{}")
-                    runner.inject(Event(body["name"], body.get("arg")))
-                except (json.JSONDecodeError, KeyError):
+                    length = int(self.headers.get("Content-Length") or 0)
+                    if length < 0:
+                        raise ValueError(f"negative Content-Length {length}")
+                    event = _parse_event(self.rfile.read(length))
+                except ValueError:
                     self.send_response(400)
                     self.end_headers()
                     return
+                runner.inject(event)
                 payload = b'{"ok":true}'
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from omninav import sim, worlds
+from omninav.core import VelocityCommand
+
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
@@ -31,3 +34,18 @@ def test_install_wraps_and_restores(layers):
         wrapped = [owner.__dict__[attr] for _, owner, attr in targets]
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(owner.__dict__[attr] is o for (_, owner, attr), o in zip(targets, originals))
+
+
+def test_sim_hot_paths_record_spans(layers):
+    """The sensing and stepping calls keep going through the names the tracer
+    wraps in `sim`, so the per-layer split still sees them."""
+    world = worlds.lab_world()
+    tracer = layers.Tracer()
+    with tracer.installed():
+        sim.sense_merged(world)
+        sim.step(world, VelocityCommand(0.2, 0.0, 0.0), 0.05)
+    summary = tracer.summary()
+    for name in ("sim.sense_merged", "sim.raycast", "sim.step", "sensing.merge_scans",
+                 "sensing.combine_base_scans", "sensing.transform_scan_to_body"):
+        assert summary[f"{name}.calls"] > 0, name
+    assert summary["motion.integrate_odometry.calls"] > 0

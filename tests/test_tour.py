@@ -3,6 +3,7 @@ import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -314,4 +315,35 @@ class TestRunner:
             assert http(url, data=b"not json")[0] == 400
             assert http(f"http://127.0.0.1:{port}/other", {})[0] == 404
         finally:
+            runner.stop_event_endpoint()
+
+    @pytest.mark.parametrize("body", [
+        b"[]", b'"x"', b"5", b"null", b'{"name": "\xff"}', b'{"name": 5}', b'{"name": null}',
+        b'{"arg": "start"}', b'{"name": "button", "arg": ["start"]}', b"[" * 100_000,
+    ], ids=["list", "string", "number", "null", "not-utf8", "int-name", "null-name",
+            "no-name", "list-arg", "deep-nesting"])
+    def test_event_endpoint_rejects_bad_body(self, body):
+        runner = TourRunner(TourConfig(devices=[]), lambda m: "reached")
+        port = runner.start_event_endpoint()
+        try:
+            assert http(f"http://127.0.0.1:{port}/event", data=body)[0] == 400
+            assert runner.events == []
+            # the endpoint still serves after the bad request
+            assert http(f"http://127.0.0.1:{port}/event", {"name": "button"})[0] == 200
+        finally:
+            runner.stop_event_endpoint()
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "-1", "0x10"])
+    def test_event_endpoint_rejects_bad_content_length(self, length):
+        runner = TourRunner(TourConfig(devices=[]), lambda m: "reached")
+        port = runner.start_event_endpoint()
+        conn = HTTPConnection("127.0.0.1", port, timeout=2)
+        try:
+            conn.putrequest("POST", "/event")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b'{"name": "button"}')
+            assert conn.getresponse().status == 400
+            assert runner.events == []
+        finally:
+            conn.close()
             runner.stop_event_endpoint()
