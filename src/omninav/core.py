@@ -48,15 +48,6 @@ class Pose2D:
             raise ValueError("non-finite pose position")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    def compose(self, delta: "Pose2D") -> "Pose2D":
-        """Apply a body-frame increment to this pose."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Pose2D(
-            self.x + c * delta.x - s * delta.y,
-            self.y + s * delta.x + c * delta.y,
-            self.theta + delta.theta,
-        )
-
 
 @dataclass(frozen=True)
 class VelocityCommand:
@@ -130,9 +121,6 @@ class LaserScan:
 
     def is_valid(self, index: int) -> bool:
         return self.ranges[index] >= 0.0
-
-    def valid_count(self) -> int:
-        return sum(1 for r in self.ranges if r >= 0.0)
 
 
 @dataclass

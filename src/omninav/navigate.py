@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OCCUPIED, Pose2D, VelocityCommand, cell_center, world_to_cell
+from .core import OCCUPIED, OccupancyGrid, Pose2D, VelocityCommand, cell_center, world_to_cell
 from .planning import (
     Costmap,
     LocalPlannerConfig,
@@ -28,7 +28,11 @@ NO_PATH = "no-path"
 
 @dataclass
 class Navigator:
-    """Drives a simulated robot to named markers over a static map."""
+    """Drives a simulated robot to named markers over a static map.
+
+    The static map is inflated once, at construction: `map_grid` and
+    `inflation_radius` must not change afterwards.
+    """
 
     world: simulator.World
     markers: dict[str, MarkerSpec]
@@ -55,6 +59,7 @@ class Navigator:
             inflation_radius=self.costmap_inflation,
             static_grid=self.map_grid,
         )
+        self._static_blocked = inflate(self.map_grid, self.inflation_radius)
 
     def _plan(self, goal: Pose2D):
         """Global plan over the static map plus current costmap obstacles.
@@ -63,14 +68,23 @@ class Navigator:
         replaced by the nearest unblocked cell within 1 m so the robot can
         move off. Returns world waypoints ending exactly at the goal, or None.
         """
-        grid = self.map_grid
-        overlay = grid.copy()
-        for cell in self.costmap.obstacles:
-            cx, cy = self.costmap.cell_center(cell)
-            gcell = world_to_cell(overlay, cx, cy)
-            if gcell is not None:
-                overlay.cells[gcell[1], gcell[0]] = OCCUPIED
-        blocked = inflate(overlay, self.inflation_radius)
+        grid, cm = self.map_grid, self.costmap
+        blocked = self._static_blocked.copy()
+        # world_to_cell of each costmap cell center, in the same float operations
+        centers = (np.array(list(cm.obstacles), dtype=float).reshape(-1, 2) + 0.5) * cm.resolution
+        cols = np.floor((centers[:, 0] - grid.origin.x) / grid.resolution)
+        rows = np.floor((centers[:, 1] - grid.origin.y) / grid.resolution)
+        on_map = (cols >= 0) & (cols < grid.width) & (rows >= 0) & (rows < grid.height)
+        if on_map.any():
+            # dilation distributes over union: inflate the costmap cells alone, on
+            # their bounding box padded by more than the inflation reach
+            cols, rows = cols[on_map].astype(np.intp), rows[on_map].astype(np.intp)
+            pad = max(int(self.inflation_radius / grid.resolution), 0) + 1
+            c0, r0 = max(cols.min() - pad, 0), max(rows.min() - pad, 0)
+            c1, r1 = min(cols.max() + pad + 1, grid.width), min(rows.max() + pad + 1, grid.height)
+            patch = OccupancyGrid(c1 - c0, r1 - r0, grid.resolution)
+            patch.cells[rows - r0, cols - c0] = OCCUPIED
+            blocked[r0:r1, c0:c1] |= inflate(patch, self.inflation_radius)
         sc = world_to_cell(grid, self.world.robot.x, self.world.robot.y)
         gc = world_to_cell(grid, goal.x, goal.y)
         if sc is None or gc is None or blocked[gc[1], gc[0]]:

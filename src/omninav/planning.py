@@ -19,7 +19,6 @@ from scipy import ndimage
 from .core import (
     FREE,
     OCCUPIED,
-    TWO_PI,
     LaserScan,
     OccupancyGrid,
     Pose2D,
@@ -58,9 +57,10 @@ def load_markers(path) -> dict[str, MarkerSpec]:
 class Costmap:
     """Robot-centered rolling obstacle map.
 
-    Obstacle cells are keyed by (floor(x / resolution), floor(y / resolution))
-    and remember the body-frame bearing at which they were inserted. Cells
-    leave the window when the robot moves more than half the window size away.
+    `obstacles` is the set of obstacle cells (floor(x / resolution),
+    floor(y / resolution)); cell (col, row) has its center at
+    ((col + 0.5) * resolution, (row + 0.5) * resolution). Cells leave the
+    window when the robot moves more than half the window size away.
     """
 
     def __init__(self, resolution: float, window_size: float = 6.0,
@@ -73,11 +73,7 @@ class Costmap:
         # static OCCUPIED cells grown by one cell: the cells whose returns it explains
         self._explained = None if static_grid is None else ndimage.binary_dilation(
             static_grid.cells == OCCUPIED, structure=np.ones((3, 3), dtype=bool))
-        # cell -> bearing recorded at insertion (body frame)
-        self.obstacles: dict[tuple[int, int], float] = {}
-
-    def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
-        return ((cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution)
+        self.obstacles: set[tuple[int, int]] = set()
 
     def _static_explains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per point: True when the static map has an OCCUPIED cell at or next to it."""
@@ -110,17 +106,13 @@ class Costmap:
         rows = np.floor(ey / self.resolution).astype(np.int64)
         supported = set(zip(cols.tolist(), rows.tolist()))
         new = ~self._static_explains(ex, ey)
-        # normalize_angle, exactly: fmod is exact, and so is one 2*pi shift from there
-        wrapped = np.fmod(bearings[new], TWO_PI)
-        wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
-        wrapped = np.where(wrapped <= -math.pi, wrapped + TWO_PI, wrapped)
-        # beam order: a cell hit twice keeps its first slot and its last bearing
-        self.obstacles.update(zip(zip(cols[new].tolist(), rows[new].tolist()), wrapped.tolist()))
+        self.obstacles.update(zip(cols[new].tolist(), rows[new].tolist()))
 
         half = self.window_size / 2.0
+        res = self.resolution
         to_clear = []
         for cell in self.obstacles:
-            cx, cy = self.cell_center(cell)
+            cx, cy = (cell[0] + 0.5) * res, (cell[1] + 0.5) * res
             if abs(cx - robot_pose.x) > half or abs(cy - robot_pose.y) > half:
                 to_clear.append(cell)
                 continue
@@ -136,16 +128,23 @@ class Costmap:
             )
             if not near_support:
                 to_clear.append(cell)
-        for cell in to_clear:
-            del self.obstacles[cell]
+        self.obstacles.difference_update(to_clear)
 
-    def blocks(self, x: float, y: float) -> bool:
-        """True if (x, y) is within the inflation radius of any obstacle."""
-        res, radius = self.resolution, self.inflation_radius
-        for col, row in self.obstacles:
-            if math.hypot((col + 0.5) * res - x, (row + 0.5) * res - y) <= radius:
-                return True
-        return False
+    def blocks(self, x, y) -> bool:
+        """True if any point (x, y), scalars or equal-length arrays, lies within
+        the inflation radius of an obstacle cell's center."""
+        if not self.obstacles:
+            return False
+        centers = (np.array(list(self.obstacles), dtype=float) + 0.5) * self.resolution
+        dx = centers[:, :1] - np.ravel(x)
+        dy = centers[:, 1:] - np.ravel(y)
+        d = np.hypot(dx, dy)
+        radius = self.inflation_radius
+        hit = d <= radius
+        # np.hypot may differ from math.hypot in the last place: settle near-ties by the latter
+        for i, j in zip(*np.nonzero(np.abs(d - radius) <= 16 * np.spacing(radius))):
+            hit[i, j] = math.hypot(dx[i, j], dy[i, j]) <= radius
+        return bool(hit.any())
 
 
 def inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
@@ -231,7 +230,9 @@ def plan_local(
     """Rotate-then-drive waypoint follower; never commands lateral motion.
 
     Returns an exact zero command when the carrot segment is blocked by a
-    costmap obstacle (replan trigger) or when the goal pose is reached.
+    costmap obstacle (replan trigger) or when the goal pose is reached. The
+    segment is sampled at half-resolution steps, ends included, and all the
+    samples go to one `Costmap.blocks` call.
     """
     if not path:
         raise ValueError("empty path")
@@ -253,13 +254,12 @@ def plan_local(
             carrot = (wx, wy)
             break
 
-    # blocked check along the carrot segment at half-resolution steps
+    # blocked check along the carrot segment at half-resolution steps, in one call
     seg = math.hypot(carrot[0] - pose.x, carrot[1] - pose.y)
     steps = max(2, int(seg / (cm.resolution / 2.0)))
-    for k in range(steps + 1):
-        t = k / steps
-        if cm.blocks(pose.x + t * (carrot[0] - pose.x), pose.y + t * (carrot[1] - pose.y)):
-            return VelocityCommand(0.0, 0.0, 0.0)
+    t = np.arange(steps + 1) / steps
+    if cm.blocks(pose.x + t * (carrot[0] - pose.x), pose.y + t * (carrot[1] - pose.y)):
+        return VelocityCommand(0.0, 0.0, 0.0)
 
     bearing = normalize_angle(math.atan2(carrot[1] - pose.y, carrot[0] - pose.x) - pose.theta)
     if abs(bearing) > cfg.align_threshold:

@@ -8,7 +8,7 @@ re-expressed with transform_scan_to_body first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,52 +109,11 @@ def depth_image_to_scan(img: DepthImage, cfg: DepthScanConfig) -> LaserScan:
     return LaserScan(angle_min, angle_max, inc, cfg.range_min, cfg.range_max, ranges, ScanFrame.DEPTH)
 
 
-def transform_scan_to_body(
-    scan: LaserScan, mount_bearing: float, mount_offset: tuple[float, float] = (0.0, 0.0)
-) -> LaserScan:
-    """Re-express a sensor scan in the body frame.
-
-    With zero offset this is a pure angular shift. With a nonzero offset each
-    valid endpoint is re-expressed from the body origin and snapped to the
-    nearest bin of a uniform grid at the scan's own increment (closer return
-    wins on collision).
-    """
-    ox, oy = mount_offset
-    if abs(ox) < 1e-12 and abs(oy) < 1e-12:
-        return LaserScan(
-            scan.angle_min + mount_bearing,
-            scan.angle_max + mount_bearing,
-            scan.angle_increment,
-            scan.range_min,
-            scan.range_max,
-            list(scan.ranges),
-            scan.frame,
-        )
-    # endpoint re-expression; bearings may leave the original span slightly
-    points = []
-    for i, r in enumerate(scan.ranges):
-        if r < 0.0:
-            continue
-        a = scan.angle(i) + mount_bearing
-        x = ox + r * math.cos(a)
-        y = oy + r * math.sin(a)
-        points.append((math.atan2(y, x), math.hypot(x, y)))
-    inc = scan.angle_increment
-    if not points:
-        a0 = scan.angle_min + mount_bearing
-        return LaserScan(
-            a0, a0 + (len(scan.ranges) - 1) * inc, inc, scan.range_min, scan.range_max,
-            [INVALID_RANGE] * len(scan.ranges), scan.frame,
-        )
-    lo = min(b for b, _ in points)
-    hi = max(b for b, _ in points)
-    n = max(1, int(round((hi - lo) / inc))) + 1
-    ranges = [INVALID_RANGE] * n
-    for b, r in points:
-        k = min(n - 1, max(0, int(round((b - lo) / inc))))
-        if ranges[k] < 0.0 or r < ranges[k]:
-            ranges[k] = r
-    return LaserScan(lo, lo + (n - 1) * inc, inc, scan.range_min, scan.range_max, ranges, scan.frame)
+def transform_scan_to_body(scan: LaserScan, mount_bearing: float) -> LaserScan:
+    """Re-express a sensor scan in the body frame: a pure angular shift, as
+    every sensor sits at the body origin, facing `mount_bearing`."""
+    return replace(scan, angle_min=scan.angle_min + mount_bearing,
+                   angle_max=scan.angle_max + mount_bearing)
 
 
 def combine_base_scans(scans: list[LaserScan], cfg: BaseLaserConfig) -> LaserScan:

@@ -27,6 +27,7 @@ from omninav.sensing import combine_base_scans, transform_scan_to_body
 from omninav.sim import NoiseModel, sense_base, sense_depth, sense_merged
 from omninav.tour import DeviceEndpoint, Event, Phase, TourConfig, TourRunner
 
+from conftest import stop_all
 from test_planning import dijkstra_cost
 from test_tour import GOLDEN_TRANSITIONS
 
@@ -241,8 +242,7 @@ class TestAcceptance:
                 Event("finish"),
             ])
         finally:
-            for m in mocks:
-                m.stop()
+            stop_all(mocks)
         return state, runner, shared, arrivals
 
     def test_09_end_to_end_tour(self):

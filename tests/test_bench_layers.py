@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from omninav import sim, worlds
-from omninav.core import VelocityCommand
+from omninav.core import Pose2D, VelocityCommand
+from omninav.navigate import REACHED, Navigator
+from omninav.planning import MarkerSpec
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -49,3 +51,23 @@ def test_sim_hot_paths_record_spans(layers):
                  "sensing.combine_base_scans", "sensing.transform_scan_to_body"):
         assert summary[f"{name}.calls"] > 0, name
     assert summary["motion.integrate_odometry.calls"] > 0
+
+
+def test_planning_hot_paths_record_spans(layers):
+    """A leg around a disk missing from the nav map keeps the costmap, local
+    planner and replanning calls going through the names the tracer wraps."""
+    world = worlds.lab_world()
+    world.robot = Pose2D(4.0, 2.0, 0.0)
+    world.obstacles.append(sim.Obstacle("crate", "disk", (6.0, 2.0, 0.25)))
+    markers = {"past": MarkerSpec("past", Pose2D(9.0, 2.0, 0.0))}
+    nav = Navigator(world, markers, map_grid=worlds.lab_nav_map())
+    tracer = layers.Tracer()
+    with tracer.installed():
+        outcome = nav.navigate_to_marker("past")
+    summary = tracer.summary()
+    assert outcome == REACHED
+    for name in ("planning.costmap_update", "planning.plan_local", "planning.costmap_blocks",
+                 "planning.astar", "planning.inflate"):
+        assert summary[f"{name}.calls"] > 0, name
+    # the blocks observer counted a hit: the crate blocked the carrot segment
+    assert summary["planning.blocks_hit_ratio"] > 0

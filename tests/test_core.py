@@ -20,6 +20,8 @@ from omninav.core import (
     world_to_cell,
 )
 
+from conftest import compose, valid_count
+
 
 class TestNormalizeAngle:
     @given(st.floats(-1e6, 1e6))
@@ -54,12 +56,12 @@ class TestPose2D:
         assert Pose2D(0, 0, 3 * math.pi).theta == pytest.approx(math.pi)
 
     def test_compose_pure_translation(self):
-        p = Pose2D(1.0, 2.0, math.pi / 2).compose(Pose2D(1.0, 0.0, 0.0))
+        p = compose(Pose2D(1.0, 2.0, math.pi / 2), Pose2D(1.0, 0.0, 0.0))
         assert p.x == pytest.approx(1.0)
         assert p.y == pytest.approx(3.0)
 
     def test_compose_rotates_increment(self):
-        p = Pose2D(0, 0, math.pi).compose(Pose2D(0.0, 1.0, 0.0))
+        p = compose(Pose2D(0, 0, math.pi), Pose2D(0.0, 1.0, 0.0))
         assert p.x == pytest.approx(0.0, abs=1e-12)
         assert p.y == pytest.approx(-1.0)
 
@@ -93,7 +95,7 @@ class TestLaserScan:
         assert scan.angle(0) == -0.5
         assert scan.angle(4) == pytest.approx(0.5)
         assert scan.is_valid(0) and not scan.is_valid(1)
-        assert scan.valid_count() == 4
+        assert valid_count(scan) == 4
         with pytest.raises(IndexError):
             scan.angle(5)
 

@@ -184,12 +184,28 @@ class TestMeasurementUpdate:
         assert out.weights[0] > out.weights[1]
         assert out.weights.sum() == pytest.approx(1.0)
 
+    def test_zero_range_counts_as_valid(self):
+        # a 0 m return is valid: it lands on each particle's own cell
+        g, cfg, dfield = self._setup()
+        scan = LaserScan(0.0, 0.1, 0.1, 0.05, 3.0, [INVALID_RANGE, 0.0], ScanFrame.MERGED)
+        ps = ParticleSet(np.array([[1.95, 1.0, 0.0], [1.0, 1.0, 0.0]]), np.array([0.5, 0.5]))
+        out = measurement_update(ps, scan, g, dfield, cfg)
+        assert out.weights[0] > out.weights[1]
+
     def test_all_invalid_scan_is_noop(self):
         g, cfg, dfield = self._setup()
         scan = LaserScan(0.0, 0.1, 0.1, 0.05, 3.0, [INVALID_RANGE] * 2, ScanFrame.MERGED)
         w = np.array([0.7, 0.3])
         ps = ParticleSet(np.zeros((2, 3)), w)
         out = measurement_update(ps, scan, g, dfield, cfg)
+        assert np.array_equal(out.weights, w)
+
+    def test_empty_scan_is_noop(self):
+        # angle_max one increment below angle_min implies zero beams
+        g, cfg, dfield = self._setup()
+        scan = LaserScan(0.0, -0.1, 0.1, 0.05, 3.0, [], ScanFrame.MERGED)
+        w = np.array([0.7, 0.3])
+        out = measurement_update(ParticleSet(np.zeros((2, 3)), w), scan, g, dfield, cfg)
         assert np.array_equal(out.weights, w)
 
     @settings(max_examples=200, deadline=None)

@@ -14,10 +14,12 @@ from omninav.core import (
     OccupancyGrid,
     Pose2D,
     ScanFrame,
+    VelocityCommand,
     cell_center,
     normalize_angle,
     world_to_cell,
 )
+from omninav import navigate
 from omninav.navigate import NO_PATH, Navigator
 from omninav.planning import (
     Costmap,
@@ -75,10 +77,108 @@ def oracle_blocks(cm, x, y):
         for dr in range(-r_cells, r_cells + 1):
             cell = (c0[0] + dc, c0[1] + dr)
             if cell in cm.obstacles:
-                cx, cy = cm.cell_center(cell)
+                cx, cy = (cell[0] + 0.5) * cm.resolution, (cell[1] + 0.5) * cm.resolution
                 if math.hypot(cx - x, cy - y) <= cm.inflation_radius:
                     return True
     return False
+
+
+def loop_blocks(cm, x, y):
+    """Reference implementation of Costmap.blocks for one point: every
+    obstacle cell in turn."""
+    res, radius = cm.resolution, cm.inflation_radius
+    for col, row in cm.obstacles:
+        if math.hypot((col + 0.5) * res - x, (row + 0.5) * res - y) <= radius:
+            return True
+    return False
+
+
+def oracle_plan_local(path, goal_heading, pose, cm, cfg):
+    """Reference implementation of plan_local: one scalar blocks test per
+    carrot-segment sample."""
+    gx, gy = path[-1]
+    dist_goal = math.hypot(gx - pose.x, gy - pose.y)
+    if dist_goal <= cfg.pos_tolerance:
+        herr = normalize_angle(goal_heading - pose.theta)
+        if abs(herr) <= cfg.heading_tolerance:
+            return VelocityCommand(0.0, 0.0, 0.0)
+        wz = max(-cfg.wz_max, min(cfg.wz_max, cfg.k_angular * herr))
+        if abs(wz) < 0.05:
+            wz = math.copysign(0.05, herr)
+        return VelocityCommand(0.0, 0.0, wz)
+    carrot = path[-1]
+    for wx, wy in path:
+        if math.hypot(wx - pose.x, wy - pose.y) >= cfg.lookahead:
+            carrot = (wx, wy)
+            break
+    seg = math.hypot(carrot[0] - pose.x, carrot[1] - pose.y)
+    steps = max(2, int(seg / (cm.resolution / 2.0)))
+    for k in range(steps + 1):
+        t = k / steps
+        if loop_blocks(cm, pose.x + t * (carrot[0] - pose.x), pose.y + t * (carrot[1] - pose.y)):
+            return VelocityCommand(0.0, 0.0, 0.0)
+    bearing = normalize_angle(math.atan2(carrot[1] - pose.y, carrot[0] - pose.x) - pose.theta)
+    if abs(bearing) > cfg.align_threshold:
+        wz = max(-cfg.wz_max, min(cfg.wz_max, cfg.k_angular * bearing))
+        if abs(wz) < 0.05:
+            wz = math.copysign(0.05, bearing)
+        return VelocityCommand(0.0, 0.0, wz)
+    vx = min(cfg.v_max, cfg.k_linear * dist_goal, cfg.v_max * seg / cfg.lookahead)
+    vx *= max(0.2, 1.0 - abs(bearing) / cfg.align_threshold)
+    vx = max(vx, 0.02)
+    wz = max(-cfg.wz_max, min(cfg.wz_max, cfg.k_angular * bearing))
+    return VelocityCommand(vx, 0.0, wz)
+
+
+def oracle_plan(nav, goal):
+    """Reference implementation of Navigator._plan: stamp the costmap cells
+    into a copy of the static map and inflate all of it. Returns the plan and
+    the blocked mask."""
+    grid = nav.map_grid
+    overlay = grid.copy()
+    for cell in nav.costmap.obstacles:
+        cx = (cell[0] + 0.5) * nav.costmap.resolution
+        cy = (cell[1] + 0.5) * nav.costmap.resolution
+        gcell = world_to_cell(overlay, cx, cy)
+        if gcell is not None:
+            overlay.cells[gcell[1], gcell[0]] = OCCUPIED
+    blocked = inflate(overlay, nav.inflation_radius)
+    sc = world_to_cell(grid, nav.world.robot.x, nav.world.robot.y)
+    gc = world_to_cell(grid, goal.x, goal.y)
+    if sc is None or gc is None or blocked[gc[1], gc[0]]:
+        return None, blocked
+    if blocked[sc[1], sc[0]]:
+        reach = int(1.0 / grid.resolution)
+        c0, r0 = max(sc[0] - reach, 0), max(sc[1] - reach, 0)
+        rows, cols = np.nonzero(~blocked[r0 : sc[1] + reach + 1, c0 : sc[0] + reach + 1])
+        if rows.size == 0:
+            return None, blocked
+        k = np.argmin((cols + c0 - sc[0]) ** 2 + (rows + r0 - sc[1]) ** 2)
+        sc = (int(cols[k]) + c0, int(rows[k]) + r0)
+    path, _cost = astar(blocked, sc, gc)
+    if path is None:
+        return None, blocked
+    pts = [cell_center(grid, c, r) for c, r in path]
+    pts[-1] = (goal.x, goal.y)
+    return pts, blocked
+
+
+def plan_with_mask(nav, goal):
+    """nav._plan(goal), and the blocked mask it hands to A* (None when it
+    returns before A*)."""
+    masks = []
+    real = navigate.astar
+
+    def recording(blocked, start, goal_cell):
+        masks.append(blocked.copy())
+        return real(blocked, start, goal_cell)
+
+    navigate.astar = recording
+    try:
+        pts = nav._plan(goal)
+    finally:
+        navigate.astar = real
+    return pts, (masks[0] if masks else None)
 
 
 def oracle_static_explains(grid, x, y):
@@ -105,7 +205,7 @@ def oracle_insert(cm, merged, pose):
         ex = pose.x + r * math.cos(a)
         ey = pose.y + r * math.sin(a)
         if cm.static_grid is None or not oracle_static_explains(cm.static_grid, ex, ey):
-            cm.obstacles[cell_of(cm, ex, ey)] = normalize_angle(merged.angle(i))
+            cm.obstacles.add(cell_of(cm, ex, ey))
 
 
 def planner_on(grid, robot, inflation_radius=0.4):
@@ -257,22 +357,78 @@ class TestPlanGlobal:
         nav.markers["far"] = MarkerSpec("far", Pose2D(5.0, 5.0, 0.0))
         assert nav.navigate_to_marker("far") == NO_PATH
 
+    @pytest.mark.parametrize("res", [0.05, 0.1])
+    def test_costmap_patch_covers_the_whole_disk(self, res):
+        # 0.3 / res falls just short of an integer and inflate() rounds it up:
+        # the patch must still hold the disk's outer ring
+        g = OccupancyGrid(40, 40, res)
+        nav = planner_on(g, Pose2D(0.5 * res, 0.5 * res, 0), inflation_radius=0.3)
+        nav.costmap.obstacles = {(20, 20)}
+        goal = Pose2D(*cell_center(g, 39, 0), 0.0)
+        pts, mask = plan_with_mask(nav, goal)
+        want, want_mask = oracle_plan(nav, goal)
+        assert want_mask[20, 20 + round(0.3 / res)]
+        assert pts == want
+        assert np.array_equal(mask, want_mask)
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.02, 0.1]), st.sampled_from([0.05, 0.1, 0.13]),
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+        st.one_of(st.sampled_from([0.0, 0.25, 0.3, 0.4]), st.floats(0.0, 0.5)),
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=25),
+        st.randoms(use_true_random=False),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+    )
+    def test_matches_overlay_oracle(self, w, h, seed, density, res, ox, oy, radius, offsets,
+                                    shuffler, start, goal):
+        """Static inflation once plus an inflated costmap patch gives the mask,
+        and so the plan, of inflating the stamped map: UNKNOWN cells, origins
+        off the resolution, costmap cells off the map and on its edge, and
+        any set insertion order."""
+        cells = np.random.default_rng(seed).choice([FREE, OCCUPIED, UNKNOWN], size=(h, w),
+                                                   p=[1.0 - density, density / 2, density / 2])
+        g = OccupancyGrid(w, h, res, Pose2D(ox, oy, 0.0), cells)
+        # costmap cells from 4 cells off each side of the map, over its edges, to inside
+        base = (math.floor(ox / res), math.floor(oy / res))
+        obstacles = [(base[0] + dc % (w + 8) - 4, base[1] + dr % (h + 8) - 4)
+                     for dc, dr in offsets]
+        nav = planner_on(g, Pose2D(ox, oy, 0.0), inflation_radius=radius)
+        nav.costmap.obstacles = set(obstacles)
+        _, mask = oracle_plan(nav, Pose2D(ox, oy, 0.0))
+        # start and goal on cells the oracle leaves free, so both reach A*
+        rows, cols = np.nonzero(~mask)
+        reaches_astar = rows.size > 0
+        if not reaches_astar:
+            rows, cols = np.array([0]), np.array([0])
+        robot, goal = (Pose2D(*cell_center(g, cols[k], rows[k]), 0.0)
+                       for k in (int(f * (rows.size - 1)) for f in (start, goal)))
+        results = []
+        for _ in range(2):
+            shuffler.shuffle(obstacles)
+            nav = planner_on(g, robot, inflation_radius=radius)
+            nav.costmap.obstacles = set(obstacles)
+            results.append(plan_with_mask(nav, goal))
+        want, want_mask = oracle_plan(nav, goal)
+        for pts, mask in results:
+            assert pts == want
+            if reaches_astar:
+                assert np.array_equal(mask, want_mask)
+
 
 class TestCostmap:
     def test_insert_records_bearing(self):
         cm = Costmap(0.05)
         cm.update(merged_scan([1.0]), Pose2D(0, 0, 0), math.radians(29))
-        assert len(cm.obstacles) == 1
-        (cell, bearing), = cm.obstacles.items()
-        assert bearing == pytest.approx(0.0)
-        assert cell == (20, 0)
+        assert cm.obstacles == {(20, 0)}
 
     def test_bearing_wraps_like_normalize_angle(self):
+        # beams at -pi, 0 and pi: the two at +-pi land in different cells
         cm = Costmap(0.05)
         scan = merged_scan([1.0, 1.0, 1.0], angle_min=-math.pi, inc=math.pi)
         cm.update(scan, Pose2D(0, 0, 0), -1.0)
-        assert list(cm.obstacles.values()) == [normalize_angle(scan.angle(i)) for i in range(3)]
-        assert list(cm.obstacles.values())[0] == math.pi
+        assert cm.obstacles == {(-20, -1), (20, 0), (-20, 0)}
 
     def test_no_clear_when_not_facing(self):
         cm = Costmap(0.05)
@@ -315,6 +471,39 @@ class TestCostmap:
         with pytest.raises(ValueError):
             cm.update(scan, Pose2D(), math.radians(29))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0.05, 0.1, 0.13]),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        st.sets(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=30),
+        st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1,
+                 max_size=20),
+    )
+    def test_blocks_on_arrays_matches_point_loop(self, res, radius, cells, points):
+        cm = Costmap(res, inflation_radius=radius)
+        cm.obstacles = cells
+        xs, ys = np.array(points).T
+        got = cm.blocks(xs, ys)
+        assert type(got) is bool
+        assert got == any(loop_blocks(cm, x, y) for x, y in points)
+        for x, y in points:
+            assert cm.blocks(x, y) is loop_blocks(cm, x, y)
+
+    def test_blocks_settles_hypot_ties_like_math_hypot(self):
+        # a radius equal to math.hypot of the offset: np.hypot is one ulp off on
+        # some of these, and blocks() must still decide as math.hypot does
+        rng = np.random.default_rng(16)
+        res = 0.05
+        ties = 0
+        for x, y in rng.uniform(-1.0, 1.0, size=(3000, 2)):
+            dx, dy = 0.5 * res - x, 0.5 * res - y
+            ties += np.hypot(dx, dy) != math.hypot(dx, dy)
+            for radius in (math.hypot(dx, dy), np.nextafter(math.hypot(dx, dy), 0.0)):
+                cm = Costmap(res, inflation_radius=radius)
+                cm.obstacles = {(0, 0)}
+                assert cm.blocks(np.array([x]), np.array([y])) is loop_blocks(cm, x, y)
+        assert ties > 0
+
     def test_blocks_inflation_disk(self):
         cm = Costmap(0.05, inflation_radius=0.3)
         cm.update(merged_scan([1.0]), Pose2D(0, 0, 0), math.radians(29))
@@ -332,7 +521,7 @@ class TestCostmap:
     )
     def test_blocks_matches_window_oracle(self, res, radius, cells, points):
         cm = Costmap(res, inflation_radius=radius)
-        cm.obstacles = {cell: 0.0 for cell in cells}
+        cm.obstacles = set(cells)
         for x, y in points:
             assert cm.blocks(x, y) == oracle_blocks(cm, x, y)
 
@@ -362,8 +551,7 @@ class TestCostmap:
         st.floats(-7.0, 7.0), st.floats(0.01, 0.5),
         st.lists(st.one_of(st.just(INVALID_RANGE), st.floats(0.0, 4.0)), min_size=1,
                  max_size=40),
-        st.dictionaries(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-                        st.floats(-math.pi, math.pi), max_size=10),
+        st.sets(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=10),
         st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1), st.floats(-3.0, 0.0),
                                        st.floats(-3.0, 0.0))),
     )
@@ -379,12 +567,12 @@ class TestCostmap:
         pose = Pose2D(*pose)
         # a huge window and an empty facing cone: update() only inserts
         cm = Costmap(res, window_size=1e6, static_grid=g)
-        cm.obstacles = dict(existing)
+        cm.obstacles = set(existing)
         cm.update(scan, pose, -1.0)
         want = Costmap(res, window_size=1e6, static_grid=g)
-        want.obstacles = dict(existing)
+        want.obstacles = set(existing)
         oracle_insert(want, scan, pose)
-        assert list(cm.obstacles.items()) == list(want.obstacles.items())
+        assert cm.obstacles == want.obstacles
 
 
 class TestPlanLocal:
@@ -413,6 +601,17 @@ class TestPlanLocal:
         cmd = plan_local([(2.0, 0.0)], 0.0, Pose2D(0.0, 0.0, 0.0), self.cm, self.cfg)
         assert (cmd.vx, cmd.vy, cmd.wz) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("cell", [(-1, -1), (20, 0)])
+    def test_segment_ends_are_checked(self, cell):
+        # radius 0.04 around the cell center reaches the pose's sample (-1, -1)
+        # or the carrot's (20, 0) and no other sample, 0.025 m apart
+        cm = Costmap(0.05, inflation_radius=0.04)
+        cm.obstacles = {cell}
+        cmd = plan_local([(1.0, 0.0)], 0.0, Pose2D(0.0, 0.0, 0.0), cm, self.cfg)
+        assert (cmd.vx, cmd.vy, cmd.wz) == (0.0, 0.0, 0.0)
+        cm.obstacles = set()
+        assert plan_local([(1.0, 0.0)], 0.0, Pose2D(0.0, 0.0, 0.0), cm, self.cfg).vx > 0
+
     def test_speed_within_limits(self):
         cmd = plan_local([(5.0, 0.0)], 0.0, Pose2D(0.0, 0.0, 0.0), self.cm, self.cfg)
         assert 0 < cmd.vx <= self.cfg.v_max
@@ -420,6 +619,22 @@ class TestPlanLocal:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             plan_local([], 0.0, Pose2D(), self.cm, self.cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0.05, 0.1]),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi)),
+        st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=4),
+        st.floats(-math.pi, math.pi),
+        st.sets(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=20),
+    )
+    def test_matches_per_sample_oracle(self, res, radius, pose, path, goal_heading, cells):
+        cm = Costmap(res, inflation_radius=radius)
+        cm.obstacles = cells
+        pose = Pose2D(*pose)
+        cmd = plan_local(path, goal_heading, pose, cm, self.cfg)
+        assert cmd == oracle_plan_local(path, goal_heading, pose, cm, self.cfg)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -37,6 +37,8 @@ from omninav.sim import (
 )
 from omninav import worlds
 
+from conftest import compose, valid_count
+
 
 def open_world(**kw):
     return World(grid=worlds.empty_grid(), robot=Pose2D(10.0, 10.0, 0.0), **kw)
@@ -97,7 +99,7 @@ class TestSensors:
 
     def test_out_of_range_is_invalid(self):
         w = open_world()
-        assert sense_depth(w).valid_count() == 0
+        assert valid_count(sense_depth(w)) == 0
 
     def test_merged_frame(self):
         w = open_world()
@@ -123,7 +125,7 @@ class TestStep:
         assert w.robot.y == pytest.approx(expected.y)
         assert w.robot.theta == pytest.approx(expected.theta)
         # reported odometry composes back to the new pose
-        assert before.compose(delta).x == pytest.approx(w.robot.x)
+        assert compose(before, delta).x == pytest.approx(w.robot.x)
 
     def test_collision_truncates_translation(self):
         w = open_world()
@@ -165,7 +167,7 @@ class TestBodyDelta:
         a = Pose2D(1.0, 2.0, 0.7)
         b = Pose2D(1.5, 1.8, -0.2)
         d = body_delta(a, b)
-        c = a.compose(d)
+        c = compose(a, d)
         assert (c.x, c.y) == (pytest.approx(b.x), pytest.approx(b.y))
         assert c.theta == pytest.approx(b.theta)
 

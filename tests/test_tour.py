@@ -2,7 +2,6 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -22,6 +21,8 @@ from omninav.tour import (
     device_command,
     tour_step,
 )
+
+from conftest import stop_all
 
 GOLDEN_TRANSITIONS = """* IDLE_AT_ENTRY
 button(start) -> CONNECTIVITY_CHECK
@@ -49,12 +50,6 @@ def make_mocks(**overrides):
     mocks = {name: MockDeviceServer(cfg, shared).start() for name, cfg in specs.items()}
     devices = [DeviceEndpoint(m.config.name, m.base_url, m.config.kind) for m in mocks.values()]
     return mocks, devices, shared
-
-
-def stop_all(mocks):
-    # each stop() waits out up to one serve_forever poll: overlap the waits
-    with ThreadPoolExecutor() as pool:
-        list(pool.map(MockDeviceServer.stop, mocks.values()))
 
 
 def http(url, json_body=None, data=None):
@@ -187,7 +182,7 @@ class TestDeviceProtocol:
             assert mocks["tv_harvey"].playing == "harvey_field_video"
             assert mocks["harvey"].running_demo == "pick_sweet_pepper"
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
 
     def test_response_body_bytes(self):
         mocks, devices, _ = make_mocks()
@@ -198,7 +193,7 @@ class TestDeviceProtocol:
             _, health = http(tv.base_url + "/health")
             assert json.loads(health) == {"status": "ok"}
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
 
     def test_unknown_media_raises_after_retries(self):
         mocks, devices, _ = make_mocks()
@@ -208,7 +203,7 @@ class TestDeviceProtocol:
                 device_command(tv, "play", "nope", max_retries=2)
             assert "status 404" in str(exc.value)
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
 
     @pytest.mark.parametrize("status, attempts", [(404, 1), (409, 1), (503, 3)])
     def test_only_5xx_is_retried(self, status, attempts):
@@ -231,7 +226,7 @@ class TestDeviceProtocol:
             report = connectivity_check(devices)
             assert report["harvey"] is False and report["tv_harvey"] is True
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
 
     def test_invalid_verb_for_kind(self):
         ep = DeviceEndpoint("tv", "http://127.0.0.1:1", "television")
@@ -260,7 +255,7 @@ class TestRunner:
             runner = TourRunner(TourConfig(devices=devices), lambda m: "reached")
             state = runner.run(self.SCRIPT)
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
         assert state.phase == Phase.DONE
         assert runner.transition_log() == GOLDEN_TRANSITIONS
         assert state.picked_items == ["item_3", "item_7"]
@@ -279,7 +274,7 @@ class TestRunner:
             runner = TourRunner(TourConfig(devices=devices), lambda m: "reached")
             state = runner.run(self.SCRIPT)
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
         assert state.phase == Phase.CONNECTIVITY_CHECK
 
     def test_device_fault_during_video(self):
@@ -290,7 +285,7 @@ class TestRunner:
             runner = TourRunner(TourConfig(devices=devices), lambda m: "reached")
             state = runner.run(self.SCRIPT)
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
         assert state.phase == Phase.FAULT
         assert runner.transitions[-1] == "device_error -> FAULT"
 
@@ -300,7 +295,7 @@ class TestRunner:
             runner = TourRunner(TourConfig(devices=devices), lambda m: "blocked")
             state = runner.run(self.SCRIPT)
         finally:
-            stop_all(mocks)
+            stop_all(mocks.values())
         assert state.phase == Phase.FAULT
 
     def test_event_endpoint_injection(self):
