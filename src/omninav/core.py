@@ -79,7 +79,8 @@ class ScanFrame(enum.Enum):
 class LaserScan:
     """Polar range scan. Negative range means invalid/unknown return.
 
-    Beam i points along angle_min + i * angle_increment (> 0). Angles and
+    Beam i points along angle_min + i * angle_increment (> 0), and angle_max
+    is not below angle_min, so a scan holds at least one beam. Angles and
     ranges are finite; ranges are kept as a list of Python floats.
     """
 
@@ -97,6 +98,8 @@ class LaserScan:
         steps = (self.angle_max - self.angle_min) / self.angle_increment
         if not math.isfinite(steps):
             raise ValueError("non-finite scan angles, or an increment too small for their span")
+        if steps < 0:
+            raise ValueError(f"angle_max {self.angle_max!r} is below angle_min {self.angle_min!r}")
         ranges = np.asarray(self.ranges, dtype=float)
         if not np.isfinite(ranges).all():
             raise ValueError("non-finite range; an invalid return is -1.0")

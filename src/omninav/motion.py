@@ -67,27 +67,26 @@ def forward_kinematics(ws: WheelSpeeds, geom: WheelGeometry = DEFAULT_GEOMETRY) 
     return VelocityCommand(*v)
 
 
-def integrate_odometry(pose: Pose2D, cmd: VelocityCommand, dt: float) -> Pose2D:
-    """Advance a pose by a constant body-frame velocity over dt seconds.
-
-    Uses the exact arc solution when wz != 0 and a straight line otherwise.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    th = pose.theta
+def arc_increment(cmd: VelocityCommand, dt: float) -> tuple[float, float, float]:
+    """Body-frame displacement (sx, sy) and heading change of a constant
+    body-frame velocity held for dt: the exact arc when wz != 0, else a
+    straight line whose heading change, -0.0, leaves any heading unchanged."""
     if abs(cmd.wz) < 1e-12:
-        dx = cmd.vx * dt
-        dy = cmd.vy * dt
-        return Pose2D(
-            pose.x + dx * math.cos(th) - dy * math.sin(th),
-            pose.y + dx * math.sin(th) + dy * math.cos(th),
-            th,
-        )
+        return cmd.vx * dt, cmd.vy * dt, -0.0
     w = cmd.wz
     dth = w * dt
     # body-frame displacement of a constant-twist arc
     sx = (cmd.vx * math.sin(dth) - cmd.vy * (1.0 - math.cos(dth))) / w
     sy = (cmd.vx * (1.0 - math.cos(dth)) + cmd.vy * math.sin(dth)) / w
+    return sx, sy, dth
+
+
+def integrate_odometry(pose: Pose2D, cmd: VelocityCommand, dt: float) -> Pose2D:
+    """Advance a pose by a constant body-frame velocity over dt seconds."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    sx, sy, dth = arc_increment(cmd, dt)
+    th = pose.theta
     return Pose2D(
         pose.x + sx * math.cos(th) - sy * math.sin(th),
         pose.y + sx * math.sin(th) + sy * math.cos(th),

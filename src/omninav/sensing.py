@@ -29,6 +29,8 @@ class BaseLaserConfig:
     def __post_init__(self):
         if self.points_per_laser < 2:
             raise ValueError("points_per_laser must be >= 2")
+        if not 0.0 <= self.range_min <= self.range_max:
+            raise ValueError("range limits must satisfy 0 <= range_min <= range_max")
         # sectors must not overlap
         cs = sorted(normalize_angle(c) for c in self.centers)
         for a, b in zip(cs, cs[1:]):
@@ -56,6 +58,8 @@ class DepthScanConfig:
             raise ValueError("fov must be in (0, pi)")
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        if not 0.0 <= self.range_min <= self.range_max:
+            raise ValueError("range limits must satisfy 0 <= range_min <= range_max")
 
     @property
     def angle_increment(self) -> float:
@@ -116,6 +120,20 @@ def transform_scan_to_body(scan: LaserScan, mount_bearing: float) -> LaserScan:
                    angle_max=scan.angle_max + mount_bearing)
 
 
+def _grid(scan: LaserScan) -> tuple[float, float, float, int]:
+    """A scan's angle grid: (angle_min, angle_max, angle_increment, beams)."""
+    return scan.angle_min, scan.angle_max, scan.angle_increment, len(scan)
+
+
+def _stitch_bins(grids, inc: float):
+    """The common grid at increment `inc` of sector scans' angle grids, and
+    each beam's bin on it in scan order (a float, maybe outside [0, n))."""
+    lo, hi = min(g[0] for g in grids), max(g[1] for g in grids)
+    n = int(round((hi - lo) / inc)) + 1
+    bearings = np.concatenate([a0 + np.arange(m) * d for a0, _, d, m in grids])
+    return (lo, lo + (n - 1) * inc, inc, n), np.rint((bearings - lo) / inc)
+
+
 def combine_base_scans(scans: list[LaserScan], cfg: BaseLaserConfig) -> LaserScan:
     """Stitch the per-laser body-frame scans into one sparse BASE scan.
 
@@ -125,18 +143,32 @@ def combine_base_scans(scans: list[LaserScan], cfg: BaseLaserConfig) -> LaserSca
     """
     if not scans:
         raise ValueError("no base scans given")
-    inc = cfg.angle_increment
-    lo = min(s.angle_min for s in scans)
-    hi = max(s.angle_max for s in scans)
-    n = int(round((hi - lo) / inc)) + 1
+    grid, k = _stitch_bins([_grid(s) for s in scans], cfg.angle_increment)
     ranges = np.concatenate([s.ranges for s in scans])
-    bearings = np.concatenate([s.angle_min + np.arange(len(s)) * s.angle_increment for s in scans])
-    k = np.rint((bearings - lo) / inc)
-    keep = (ranges >= 0.0) & (k >= 0) & (k < n)
-    closest = np.full(n, np.inf)
+    keep = (ranges >= 0.0) & (k >= 0) & (k < grid[3])
+    closest = np.full(grid[3], np.inf)
     np.minimum.at(closest, k[keep].astype(np.intp), ranges[keep])
     closest[np.isinf(closest)] = INVALID_RANGE
-    return LaserScan(lo, lo + (n - 1) * inc, inc, cfg.range_min, cfg.range_max, closest, ScanFrame.BASE)
+    return LaserScan(*grid[:3], cfg.range_min, cfg.range_max, closest, ScanFrame.BASE)
+
+
+def _merge_bins(base, depth):
+    """The merged grid of a base and a depth scan, given by their angle grids,
+    and per input, depth first, the merged bins it feeds and the beam feeding
+    each: the nearest one, if it lies within half a depth increment."""
+    inc = depth[2]
+    lo, hi = min(base[0], depth[0]), max(base[1], depth[1])
+    n = int(math.floor((hi - lo) / inc + 1e-9)) + 1
+    tol = inc / 2 + 1e-12
+    bearings = lo + np.arange(n) * inc
+    feeds = []
+    for a0, _, d, m in (depth, base):
+        k = np.rint((bearings - a0) / d)
+        bins = np.flatnonzero((k >= 0) & (k < m))
+        k = k[bins].astype(np.intp)
+        near = np.abs(a0 + k * d - bearings[bins]) <= tol
+        feeds.append((bins[near], k[near]))
+    return (lo, lo + (n - 1) * inc, inc, n), feeds
 
 
 def merge_scans(base: LaserScan, depth: LaserScan) -> LaserScan:
@@ -149,26 +181,13 @@ def merge_scans(base: LaserScan, depth: LaserScan) -> LaserScan:
     """
     if base.frame != ScanFrame.BASE or depth.frame != ScanFrame.DEPTH:
         raise ValueError(f"expected BASE + DEPTH scans, got {base.frame} + {depth.frame}")
-    inc = depth.angle_increment
-    lo = min(base.angle_min, depth.angle_min)
-    hi = max(base.angle_max, depth.angle_max)
-    n = int(math.floor((hi - lo) / inc + 1e-9)) + 1
-    tol = inc / 2 + 1e-12
-    bearings = lo + np.arange(n) * inc
-    closest = np.full(n, np.inf)
+    grid, feeds = _merge_bins(_grid(base), _grid(depth))
+    closest = np.full(grid[3], np.inf)
     # depth first: on equal ranges the depth return is kept
-    for scan in (depth, base):
-        k = np.rint((bearings - scan.angle_min) / scan.angle_increment)
-        bins = np.flatnonzero((k >= 0) & (k < len(scan)))
-        k = k[bins].astype(np.intp)
+    for scan, (bins, k) in zip((depth, base), feeds):
         r = np.asarray(scan.ranges)[k]
-        near = np.abs(scan.angle_min + k * scan.angle_increment - bearings[bins]) <= tol
-        closer = near & (r >= 0.0) & (r < closest[bins])
+        closer = (r >= 0.0) & (r < closest[bins])
         closest[bins[closer]] = r[closer]
     closest[np.isinf(closest)] = INVALID_RANGE
-    return LaserScan(
-        lo, lo + (n - 1) * inc, inc,
-        min(base.range_min, depth.range_min),
-        max(base.range_max, depth.range_max),
-        closest, ScanFrame.MERGED,
-    )
+    return LaserScan(*grid[:3], min(base.range_min, depth.range_min),
+                     max(base.range_max, depth.range_max), closest, ScanFrame.MERGED)

@@ -23,9 +23,12 @@ from .core import (
     ScanFrame,
     VelocityCommand,
     OCCUPIED,
+    normalize_angle,
 )
-from .motion import integrate_odometry
-from .sensing import BaseLaserConfig, DepthScanConfig, combine_base_scans, merge_scans, transform_scan_to_body
+# integrate_odometry and the three scan functions stay sim attributes: bench tracing wraps them here
+from .motion import arc_increment, integrate_odometry  # noqa: F401
+from .sensing import (BaseLaserConfig, DepthScanConfig, _merge_bins, _stitch_bins,  # noqa: F401
+                      combine_base_scans, merge_scans, transform_scan_to_body)
 
 
 @dataclass
@@ -56,8 +59,8 @@ class NoiseModel:
 class World:
     """Simulated robot, static grid and analytic obstacles.
 
-    The grid's static clearance field is built once, here: `grid.cells` must
-    not change after the World is constructed.
+    The static clearance field and the sensor layout are built once, here:
+    `grid.cells`, `base_cfg` and `depth_cfg` must not change afterwards.
     """
 
     grid: OccupancyGrid
@@ -83,6 +86,7 @@ class World:
             clearance = np.full(occupied.shape, 255, dtype=np.uint8)
         self._occupied = np.pad(occupied, 1)
         self._clearance = np.pad(clearance, 1)
+        self._layout = _sensor_layout(self.base_cfg, self.depth_cfg)
 
     def obstacle_by_id(self, oid: str) -> Obstacle:
         for o in self.obstacles:
@@ -231,26 +235,54 @@ def _depth_sensor(cfg: DepthScanConfig) -> _Sensor:
                    ScanFrame.DEPTH)
 
 
+def _beams(sensors: list[_Sensor]) -> np.ndarray:
+    """Rows over the sensors' beams in order: the sensor's middle bearing in
+    the body frame, range limits, height, and bearing from the middle beam."""
+    fixed = [(s.center, s.range_min, s.range_max, s.height) for s in sensors]
+    return np.vstack([np.repeat(fixed, [s.points for s in sensors], axis=0).T, np.concatenate(
+        [np.linspace(-s.fov / 2.0, s.fov / 2.0, s.points) for s in sensors])])
+
+
+def _sensor_layout(base_cfg: BaseLaserConfig, depth_cfg: DepthScanConfig):
+    """The base and depth beams (see _beams); per merged bin, as merge_scans
+    and combine_base_scans bin them, its depth beam and the base beams of its
+    combined bin (two where sectors touch), one column each, padded with the
+    index one past the last beam; and the merged scan's metadata."""
+    sensors = _base_sensors(base_cfg) + [_depth_sensor(depth_cfg)]
+    # body-frame angle grids, shifted as transform_scan_to_body shifts them
+    *base, depth = [(-s.fov / 2.0 + s.center, s.fov / 2.0 + s.center, s.fov / (s.points - 1),
+                     s.points) for s in sensors]
+    combined, k = _stitch_bins(base, base_cfg.angle_increment)
+    grid, ((depth_bins, depth_beams), (base_bins, kc)) = _merge_bins(combined, depth)
+    sources = [[] for _ in range(grid[3])]
+    for m, j in zip(depth_bins, depth_beams + len(k)):
+        sources[m].append(j)
+    for m, j in zip(base_bins, kc):
+        sources[m] += np.flatnonzero(k == j).tolist()
+    width, past_last = max(map(len, sources)), len(k) + depth[3]
+    sources = np.array([s + [past_last] * (width - len(s)) for s in sources], np.intp).T.copy()
+    return _beams(sensors), sources, (*grid[:3], min(base_cfg.range_min, depth_cfg.range_min),
+                                      max(base_cfg.range_max, depth_cfg.range_max))
+
+
+def _cast(world: World, beams: np.ndarray, noisy: bool) -> np.ndarray:
+    """Every beam's range, from one raycast; inf where it fails its sensor's
+    range test (a miss is inf). Range noise is drawn once for all beams."""
+    center, range_min, range_max, height, offset = beams
+    angles = (world.robot.theta + center) + offset
+    d = raycast(world, world.robot.x, world.robot.y, angles, range_max, height)
+    if noisy and world.noise.range_std > 0:
+        d = d + world.rng.normal(0.0, world.noise.range_std, size=d.shape)
+    return np.where((d >= range_min) & (d <= range_max), d, np.inf)
+
+
 def _sense(world: World, sensors: list[_Sensor], noisy: bool) -> list[LaserScan]:
-    """One scan per sensor, from one raycast over all their beams. Range noise
-    is drawn sensor by sensor, in order."""
-    counts = [s.points for s in sensors]
-    angles = np.concatenate([
-        world.robot.theta + s.center + np.linspace(-s.fov / 2.0, s.fov / 2.0, s.points)
-        for s in sensors
-    ])
-    dist = raycast(world, world.robot.x, world.robot.y, angles,
-                   np.repeat([s.range_max for s in sensors], counts),
-                   np.repeat([s.height for s in sensors], counts))
-    scans = []
-    for s, d in zip(sensors, np.split(dist, np.cumsum(counts)[:-1])):
-        if noisy and world.noise.range_std > 0:
-            d = d + world.rng.normal(0.0, world.noise.range_std, size=d.shape)
-        # misses are inf and fail the range test
-        ranges = np.where((d >= s.range_min) & (d <= s.range_max), d, INVALID_RANGE)
-        scans.append(LaserScan(-s.fov / 2.0, s.fov / 2.0, s.fov / (s.points - 1), s.range_min,
-                               s.range_max, ranges, s.frame))
-    return scans
+    """One scan per sensor, in its own frame."""
+    d = _cast(world, _beams(sensors), noisy)
+    ranges = np.where(d < np.inf, d, INVALID_RANGE)
+    return [LaserScan(-s.fov / 2.0, s.fov / 2.0, s.fov / (s.points - 1), s.range_min,
+                      s.range_max, r, s.frame)
+            for s, r in zip(sensors, np.split(ranges, np.cumsum([s.points for s in sensors])[:-1]))]
 
 
 def sense_base(world: World, noisy: bool = False) -> list[LaserScan]:
@@ -264,18 +296,19 @@ def sense_depth(world: World, noisy: bool = False) -> LaserScan:
 
 
 def sense_merged(world: World, noisy: bool = False) -> LaserScan:
-    """Base scans transformed to body, stitched, and merged with depth."""
-    *scans, depth = _sense(
-        world, _base_sensors(world.base_cfg) + [_depth_sensor(world.depth_cfg)], noisy)
-    base = [transform_scan_to_body(s, c) for s, c in zip(scans, world.base_cfg.centers)]
-    combined = combine_base_scans(base, world.base_cfg)
-    return merge_scans(combined, depth)
+    """The base scans, transformed to body and stitched, merged with the depth
+    scan, from one raycast and one noise draw over all beams binned through
+    the World's sensor layout: each bin keeps its closest valid return."""
+    beams, sources, meta = world._layout
+    merged = np.append(_cast(world, beams, noisy), np.inf)[sources].min(axis=0)
+    merged[np.isinf(merged)] = INVALID_RANGE
+    return LaserScan(*meta, merged, ScanFrame.MERGED)
 
 
-def _collides(world: World, x: float, y: float) -> bool:
-    """Robot disk vs static cells and active full-footprint obstacles."""
+def _collides(world: World, x: float, y: float, reach: float = 0.0) -> bool:
+    """Robot disk, grown by reach, vs static cells and active obstacles."""
     g = world.grid
-    r = world.robot_radius
+    r = world.robot_radius + reach
     col = math.floor((x - g.origin.x) / g.resolution)
     row = math.floor((y - g.origin.y) / g.resolution)
     # no OCCUPIED cell within r of the centre when the centre's cell clears
@@ -324,22 +357,28 @@ def step(world: World, cmd: VelocityCommand, dt: float) -> Pose2D:
     """Advance the world by dt; returns the noisy body-frame odometry delta.
 
     Motion is truncated at the first colliding sub-step (20 sub-steps per
-    tick); rotation is never blocked.
+    tick); rotation is never blocked. Collision is tested once per tick, for
+    every point the tick can reach, and per sub-step only near geometry.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError("dt must be in (0, 0.1]")
     before = world.robot
-    pose = before
     n_sub = 20
+    sx, sy, dth = arc_increment(cmd, dt / n_sub)
+    x, y, th = before.x, before.y, before.theta
+    # no sub-step can collide if the robot disk, grown by the furthest the
+    # centre can move this tick, hits nothing here (1e-9 covers rounding)
+    clear = not _collides(world, x, y, math.hypot(cmd.vx, cmd.vy) * dt + 1e-9)
     for _ in range(n_sub):
-        nxt = integrate_odometry(pose, cmd, dt / n_sub)
-        if _collides(world, nxt.x, nxt.y):
-            # let rotation continue in place
-            nxt = Pose2D(pose.x, pose.y, nxt.theta)
-            if _collides(world, nxt.x, nxt.y):
-                pose = Pose2D(pose.x, pose.y, nxt.theta)
-                break
-        pose = nxt
+        c, s = math.cos(th), math.sin(th)
+        nx, ny = x + sx * c - sy * s, y + sx * s + sy * c
+        th = normalize_angle(th + dth)
+        if clear or not _collides(world, nx, ny):
+            x, y = nx, ny
+        elif _collides(world, x, y):
+            # stuck where it stands: this sub-step's rotation is the last
+            break
+    pose = Pose2D(x, y, th)
     world.robot = pose
     world.time += dt
     delta = body_delta(before, pose)

@@ -3,6 +3,7 @@ package; a refactor that moves or drops one of them must fail here, not only
 under `bench/run.py --trace 1`."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -39,18 +40,33 @@ def test_install_wraps_and_restores(layers):
 
 
 def test_sim_hot_paths_record_spans(layers):
-    """The sensing and stepping calls keep going through the names the tracer
-    wraps in `sim`, so the per-layer split still sees them."""
-    world = worlds.lab_world()
+    """Sensing and stepping keep going through the names the tracer wraps in
+    `sim`. One sense_merged casts once through the World's sensor layout and
+    builds no intermediate scans; a step is one `sim.step` span, whether its
+    tick is clear or runs into a wall, and integrates no per-sub-step poses."""
+    world = worlds.lab_world()  # its sensor layout is built here, untraced
     tracer = layers.Tracer()
     with tracer.installed():
         sim.sense_merged(world)
-        sim.step(world, VelocityCommand(0.2, 0.0, 0.0), 0.05)
     summary = tracer.summary()
-    for name in ("sim.sense_merged", "sim.raycast", "sim.step", "sensing.merge_scans",
-                 "sensing.combine_base_scans", "sensing.transform_scan_to_body"):
-        assert summary[f"{name}.calls"] > 0, name
-    assert summary["motion.integrate_odometry.calls"] > 0
+    assert summary["sim.sense_merged.calls"] == 1
+    assert summary["sim.raycast.calls"] == 1
+    for name in ("sensing.merge_scans", "sensing.combine_base_scans",
+                 "sensing.transform_scan_to_body"):
+        assert summary[f"{name}.calls"] == 0, name
+
+    cmd = VelocityCommand(0.5, 0.0, 0.0)
+    # open floor, then facing the west wall from 0.3 m: the wall truncates the move
+    for start, full_move in ((Pose2D(2.0, 2.0, 0.0), True), (Pose2D(0.3, 7.0, math.pi), False)):
+        world.robot = start
+        tracer.reset()
+        with tracer.installed():
+            sim.step(world, cmd, 0.05)
+        summary = tracer.summary()
+        assert summary["sim.step.calls"] == 1
+        assert summary["motion.integrate_odometry.calls"] == 0
+        moved = math.hypot(world.robot.x - start.x, world.robot.y - start.y)
+        assert (moved == pytest.approx(0.025)) is full_move, moved
 
 
 def test_planning_hot_paths_record_spans(layers):

@@ -204,6 +204,14 @@ class TestLocalize:
         assert rc == 2
         assert "log.csv:3: non-finite range" in capsys.readouterr().err
 
+    def test_scan_with_no_beams_is_usage_error(self, tmp_path, capsys):
+        map_path, _ = self._write_fixture(tmp_path)
+        log = tmp_path / "log.csv"
+        log.write_text("0.0,scanmeta,0 -0.1 0.1 0.05 3\n0.2,scan,\n")
+        rc = main(["--out", str(tmp_path / "o"), "localize", str(log), "--map", str(map_path)])
+        assert rc == 2
+        assert "log.csv:2: angle_max" in capsys.readouterr().err
+
     def test_malformed_log(self, tmp_path):
         map_path, _ = self._write_fixture(tmp_path)
         bad = tmp_path / "bad.csv"

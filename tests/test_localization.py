@@ -200,13 +200,10 @@ class TestMeasurementUpdate:
         out = measurement_update(ps, scan, g, dfield, cfg)
         assert np.array_equal(out.weights, w)
 
-    def test_empty_scan_is_noop(self):
-        # angle_max one increment below angle_min implies zero beams
-        g, cfg, dfield = self._setup()
-        scan = LaserScan(0.0, -0.1, 0.1, 0.05, 3.0, [], ScanFrame.MERGED)
-        w = np.array([0.7, 0.3])
-        out = measurement_update(ParticleSet(np.zeros((2, 3)), w), scan, g, dfield, cfg)
-        assert np.array_equal(out.weights, w)
+    def test_scan_with_no_beams_is_rejected(self):
+        # angle_max one increment below angle_min would imply zero beams
+        with pytest.raises(ValueError, match="below angle_min"):
+            LaserScan(0.0, -0.1, 0.1, 0.05, 3.0, [], ScanFrame.MERGED)
 
     @settings(max_examples=200, deadline=None)
     @given(

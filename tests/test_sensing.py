@@ -180,6 +180,14 @@ class TestCombineBase:
         with pytest.raises(ValueError):
             BaseLaserConfig(centers=(0.0, math.radians(30.0), math.radians(-90.0)))
 
+    @pytest.mark.parametrize("range_min, range_max", [(-0.1, 3.0), (2.0, 1.0)])
+    def test_bad_range_limits_rejected(self, range_min, range_max):
+        # a negative range reads as an invalid return
+        with pytest.raises(ValueError, match="range limits"):
+            BaseLaserConfig(range_min=range_min, range_max=range_max)
+        with pytest.raises(ValueError, match="range limits"):
+            DepthScanConfig(range_min=range_min, range_max=range_max)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             combine_base_scans([], BaseLaserConfig())

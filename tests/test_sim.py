@@ -16,7 +16,13 @@ from omninav.core import (
     VelocityCommand,
 )
 from omninav.motion import integrate_odometry
-from omninav.sensing import combine_base_scans, merge_scans, transform_scan_to_body
+from omninav.sensing import (
+    BaseLaserConfig,
+    DepthScanConfig,
+    combine_base_scans,
+    merge_scans,
+    transform_scan_to_body,
+)
 from omninav.sim import (
     NoiseModel,
     Obstacle,
@@ -443,3 +449,217 @@ class TestClearanceOracles:
             got, want = sense_merged(new, noisy), oracle_sense_merged(old, noisy)
             assert got.ranges == want.ranges
             assert (got.angle_min, got.angle_increment) == (want.angle_min, want.angle_increment)
+
+
+# --- oracles: `step` as it was before the per-tick collision early-out, with
+# the integrate_odometry it called, kept verbatim: one integrate_odometry,
+# Pose2D and _collides per sub-step ---
+
+def oracle_integrate_odometry(pose: Pose2D, cmd: VelocityCommand, dt: float) -> Pose2D:
+    """Advance a pose by a constant body-frame velocity over dt seconds.
+
+    Uses the exact arc solution when wz != 0 and a straight line otherwise.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    th = pose.theta
+    if abs(cmd.wz) < 1e-12:
+        dx = cmd.vx * dt
+        dy = cmd.vy * dt
+        return Pose2D(
+            pose.x + dx * math.cos(th) - dy * math.sin(th),
+            pose.y + dx * math.sin(th) + dy * math.cos(th),
+            th,
+        )
+    w = cmd.wz
+    dth = w * dt
+    # body-frame displacement of a constant-twist arc
+    sx = (cmd.vx * math.sin(dth) - cmd.vy * (1.0 - math.cos(dth))) / w
+    sy = (cmd.vx * (1.0 - math.cos(dth)) + cmd.vy * math.sin(dth)) / w
+    return Pose2D(
+        pose.x + sx * math.cos(th) - sy * math.sin(th),
+        pose.y + sx * math.sin(th) + sy * math.cos(th),
+        th + dth,
+    )
+
+
+def oracle_step(world: World, cmd: VelocityCommand, dt: float) -> Pose2D:
+    """Advance the world by dt; returns the noisy body-frame odometry delta.
+
+    Motion is truncated at the first colliding sub-step (20 sub-steps per
+    tick); rotation is never blocked.
+    """
+    if not 0.0 < dt <= 0.1:
+        raise ValueError("dt must be in (0, 0.1]")
+    before = world.robot
+    pose = before
+    n_sub = 20
+    for _ in range(n_sub):
+        nxt = oracle_integrate_odometry(pose, cmd, dt / n_sub)
+        if _collides(world, nxt.x, nxt.y):
+            # let rotation continue in place
+            nxt = Pose2D(pose.x, pose.y, nxt.theta)
+            if _collides(world, nxt.x, nxt.y):
+                pose = Pose2D(pose.x, pose.y, nxt.theta)
+                break
+        pose = nxt
+    world.robot = pose
+    world.time += dt
+    delta = body_delta(before, pose)
+    nm = world.noise
+    if nm.odom_translation_std > 0 or nm.odom_rotation_std > 0:
+        trans = math.hypot(delta.x, delta.y)
+        sx = nm.odom_translation_std * trans
+        sth = nm.odom_rotation_std * abs(delta.theta) + 0.1 * nm.odom_rotation_std * trans
+        noise = world.rng.normal(0.0, 1.0, size=3)
+        delta = Pose2D(
+            delta.x + sx * noise[0],
+            delta.y + sx * noise[1],
+            delta.theta + sth * noise[2],
+        )
+    return delta
+
+
+def bits(p: Pose2D) -> tuple[str, str, str]:
+    """A pose's floats, told apart down to the sign of zero."""
+    return p.x.hex(), p.y.hex(), p.theta.hex()
+
+
+# a 3 m room at 5 cm with an inner wall at x in [0.5, 0.55), y in [0.0, 1.0),
+# one disk and two segments (one of zero length); the disk and the first
+# segment may be switched off
+DISK = (1.3, 0.4, 0.3)
+SEGMENT = (-0.4, 0.9, 0.3, 1.4)
+INNER_WALL_X = 0.5
+
+
+def step_world(noisy: bool, disk_on: bool, segment_on: bool, seed: int) -> World:
+    g = OccupancyGrid(60, 60, 0.05, Pose2D(-1.0, -1.0, 0.0))
+    g.cells[0, :] = g.cells[-1, :] = g.cells[:, 0] = g.cells[:, -1] = OCCUPIED
+    g.cells[20:40, 30] = OCCUPIED
+    std = 0.05 if noisy else 0.0
+    return World(grid=g, noise=NoiseModel(std, std, 0.0, seed), obstacles=[
+        Obstacle("d", "disk", DISK, active=disk_on),
+        Obstacle("s", "segment", SEGMENT, active=segment_on),
+        Obstacle("p", "segment", (1.5, 1.5, 1.5, 1.5)),
+    ])
+
+
+@st.composite
+def step_poses(draw):
+    """Anywhere in the room, or at and near the contact distance of a wall,
+    the disk or a segment."""
+    r = 0.24
+    gap = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05), st.floats(-1e-9, 1e-9)))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    u = draw(st.floats(0.0, 1.0))
+    where = draw(st.sampled_from(["room", "wall", "disk", "segment", "outer"]))
+    if where == "room":
+        x, y = draw(st.floats(-1.0, 2.0)), draw(st.floats(-1.0, 2.0))
+    elif where == "wall":
+        x, y = INNER_WALL_X + 0.025 + side * (0.025 + r + gap), u
+    elif where == "outer":
+        x, y = -0.95 + r + gap, -1.0 + 3.0 * u
+    elif where == "disk":
+        a = 2 * math.pi * u
+        cx, cy, rad = DISK
+        x, y = cx + (r + rad + gap) * math.cos(a), cy + (r + rad + gap) * math.sin(a)
+    else:
+        x1, y1, x2, y2 = SEGMENT
+        ex, ey = x2 - x1, y2 - y1
+        n = math.hypot(ex, ey)
+        x = x1 + u * ex - side * ey / n * (r + gap)
+        y = y1 + u * ey + side * ex / n * (r + gap)
+    theta = draw(st.one_of(
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([-0.0, 0.0, math.pi, math.nextafter(-math.pi, 0.0),
+                         math.nextafter(math.pi, 0.0), -math.pi / 2])))
+    return Pose2D(x, y, theta)
+
+
+def speeds(limit: float):
+    return st.one_of(st.just(0.0), st.floats(-limit, limit), st.floats(-1e-12, 1e-12))
+
+
+class TestStepOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+           step_poses(),
+           st.lists(st.tuples(speeds(0.8), speeds(0.8), speeds(3.0),
+                              st.one_of(st.just(0.05), st.floats(1e-4, 0.1))),
+                    min_size=1, max_size=4))
+    def test_step_matches_oracle(self, noisy, disk_on, segment_on, seed, start, ticks):
+        new = step_world(noisy, disk_on, segment_on, seed)
+        old = step_world(noisy, disk_on, segment_on, seed)
+        new.robot = old.robot = start
+        for vx, vy, wz, dt in ticks:
+            cmd = VelocityCommand(vx, vy, wz)
+            assert bits(step(new, cmd, dt)) == bits(oracle_step(old, cmd, dt))
+            assert bits(new.robot) == bits(old.robot)
+            assert new.time.hex() == old.time.hex()
+            assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_poses(), speeds(0.8), speeds(0.8), speeds(3.0),
+           st.one_of(st.just(0.0025), st.floats(1e-6, 1.0)))
+    def test_integrate_odometry_matches_oracle(self, pose, vx, vy, wz, dt):
+        cmd = VelocityCommand(vx, vy, wz)
+        assert bits(integrate_odometry(pose, cmd, dt)) == bits(
+            oracle_integrate_odometry(pose, cmd, dt))
+
+    def test_step_matches_oracle_through_lab_tour_ticks(self):
+        # many ticks along the walls and past the furniture of the lab
+        new = worlds.lab_world(noise=NoiseModel(0.02, 0.02, 0.0, 9))
+        old = worlds.lab_world(noise=NoiseModel(0.02, 0.02, 0.0, 9))
+        rng = np.random.default_rng(17)
+        for x, y, th in rng.uniform((0.0, 0.0, -math.pi), (20.0, 15.0, math.pi), size=(300, 3)):
+            new.robot = old.robot = Pose2D(x, y, th)
+            for vx, vy, wz in rng.uniform((-0.5, -0.5, -1.0), (0.5, 0.5, 1.0), size=(5, 3)):
+                cmd = VelocityCommand(vx, vy, wz * (rng.uniform() < 0.7))
+                assert bits(step(new, cmd, 0.05)) == bits(oracle_step(old, cmd, 0.05))
+                assert bits(new.robot) == bits(old.robot)
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+
+def assert_scans_equal(got: LaserScan, want: LaserScan) -> None:
+    assert got.ranges == want.ranges
+    for name in ("angle_min", "angle_max", "angle_increment", "range_min", "range_max",
+                 "frame"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestSensorLayout:
+    @pytest.mark.parametrize("base_cfg, depth_cfg", [
+        # touching sectors: the beams at +-30 deg land in one combined bin
+        (BaseLaserConfig(centers=(0.0, math.radians(60.0), math.radians(-60.0))),
+         DepthScanConfig()),
+        # a depth field of view wider than the base lasers' span
+        (BaseLaserConfig(centers=(0.0, 0.3, -0.3), fov_per_laser=0.2, points_per_laser=5),
+         DepthScanConfig(fov=2.5, points=200)),
+        # other point counts and range limits
+        (BaseLaserConfig(points_per_laser=7, range_max=5.0),
+         DepthScanConfig(points=101, range_min=0.3, range_max=3.0)),
+    ])
+    def test_sense_merged_matches_oracle(self, base_cfg, depth_cfg):
+        def lab():
+            world = World(grid=worlds.build_lab_map(include_furniture=False),
+                          base_cfg=base_cfg, depth_cfg=depth_cfg,
+                          noise=NoiseModel(range_std=0.02, rng_seed=4))
+            world.obstacles = worlds.furniture_obstacles() + [
+                Obstacle("box", "disk", (4.0, 3.0, 0.2), 0.0, 0.3),
+                Obstacle("panel", "segment", (8.0, 4.0, 9.5, 5.0), 0.0, 2.0)]
+            return world
+
+        new, old = lab(), lab()
+        rng = np.random.default_rng(8)
+        for x, y, th in rng.uniform((0.0, 0.0, -math.pi), (20.0, 15.0, math.pi), size=(60, 3)):
+            new.robot = old.robot = Pose2D(x, y, th)
+            assert_scans_equal(sense_merged(new, True), oracle_sense_merged(old, True))
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+    def test_touching_sectors_share_a_bin(self):
+        world = World(grid=worlds.empty_grid(), base_cfg=BaseLaserConfig(
+            centers=(0.0, math.radians(60.0), math.radians(-60.0))))
+        _, sources, _ = world._layout
+        base_beams = [set(col[col < 45].tolist()) for col in sources.T]
+        assert sorted(map(len, base_beams)).count(2) == 2
