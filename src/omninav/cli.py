@@ -2,7 +2,8 @@
 
 Subcommands: map-extract, controller-demo, simulate, localize, tour.
 Exit codes: 0 success, 1 domain failure (no-path, blocked, empty input),
-2 usage or input error. Every run writes a manifest of its resolved
+2 usage or input error: `main` turns every OSError, ValueError or KeyError
+into one `error:` line. Every run first writes a manifest of its resolved
 configuration to the output directory.
 """
 
@@ -42,29 +43,22 @@ def _read_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{k} = {v}" for k, v in sorted(vars(args).items()) if k != "func"]
-    for k, v in sorted((extra or {}).items()):
-        lines.append(f"{k} = {v}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_map_extract(args) -> int:
     out = Path(args.out)
-    _write_manifest(out, args)
-    try:
-        cloud = mapgen.read_point_cloud(args.cloud)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if len(cloud) == 0:
-        print("error: empty cloud", file=sys.stderr)
-        return 1
     cfg = mapgen.MapGenConfig(
         z_min=args.z_min, z_max=args.z_max, resolution=args.resolution,
         denoise_min_cluster=args.min_cluster,
     )
+    cloud = mapgen.read_point_cloud(args.cloud)
+    if len(cloud) == 0:
+        print("error: empty cloud", file=sys.stderr)
+        return 1
     try:
         grid = mapgen.extract_map(cloud, cfg)
     except ValueError as e:
@@ -84,10 +78,6 @@ def cmd_map_extract(args) -> int:
 
 def cmd_controller_demo(args) -> int:
     out = Path(args.out)
-    _write_manifest(out, args)
-    if args.radius <= 0 or args.speed <= 0 or args.duration < 0 or args.dt <= 0:
-        print("error: radius, speed and dt must be positive", file=sys.stderr)
-        return 2
     samples = circle_drive_headings(args.radius, args.speed, args.duration, args.dt)
     csv_path = out / "trajectory.csv"
     with open(csv_path, "w") as f:
@@ -116,16 +106,10 @@ def _world_from_args(args, config: dict[str, str]) -> tuple[sim.World, Occupancy
         if not key.startswith("obstacle."):
             continue
         oid = key.split(".", 1)[1]
-        parts = val.split()
-        kind = parts[0]
-        if kind == "disk":
-            params = tuple(float(p) for p in parts[1:4])
-            rest = parts[4:]
-        elif kind == "segment":
-            params = tuple(float(p) for p in parts[1:5])
-            rest = parts[5:]
-        else:
-            raise ValueError(f"unknown obstacle kind {kind!r}")
+        kind, *parts = val.split() or [""]
+        n = sim.OBSTACLE_PARAMS.get(kind, 0)
+        params = tuple(float(p) for p in parts[:n])
+        rest = parts[n:]
         z_min = float(rest[0]) if len(rest) > 0 else 0.0
         z_max = float(rest[1]) if len(rest) > 1 else 2.0
         active = not (len(rest) > 2 and rest[2] == "off")
@@ -135,22 +119,13 @@ def _world_from_args(args, config: dict[str, str]) -> tuple[sim.World, Occupancy
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
-    _write_manifest(out, args)
-    try:
-        config = _read_config(args.config)
-        events = sim.parse_scenario(Path(args.scenario).read_text())
-        world, nav_map = _world_from_args(args, config)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    config = _read_config(args.config)
+    events = sim.parse_scenario(Path(args.scenario).read_text())
+    world, nav_map = _world_from_args(args, config)
     markers = load_markers(args.markers) if args.markers else dict(worlds.MARKERS)
     nav = Navigator(world, markers, map_grid=nav_map)
-    try:
-        log = sim.run_scenario(world, events, duration=args.duration,
-                               navigate_fn=nav.navigate_fn())
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    log = sim.run_scenario(world, events, duration=args.duration,
+                           navigate_fn=nav.navigate_fn())
     log_path = out / "run.csv"
     sim.write_log(log, log_path)
     outcomes = [row.event for row in log if row.event.startswith("goto")]
@@ -163,13 +138,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_localize(args) -> int:
     out = Path(args.out)
-    _write_manifest(out, args)
-    try:
-        grid = mapgen.read_map(args.map)
-        rows = Path(args.log).read_text().splitlines()
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    grid = mapgen.read_map(args.map)
+    rows = Path(args.log).read_text().splitlines()
     cfg = MclConfig(particle_count=args.particles, rng_seed=args.seed)
     mcl = MclFilter(grid, cfg)
     x, y, th = args.init
@@ -183,11 +153,10 @@ def cmd_localize(args) -> int:
             if not row.strip() or row.startswith("t,"):
                 continue
             parts = row.split(",", 2)
-            if len(parts) < 3:
-                print(f"error: {args.log}:{lineno}: malformed row", file=sys.stderr)
-                return 2
-            t, kind, payload = parts[0], parts[1], parts[2]
             try:
+                if len(parts) < 3:
+                    raise ValueError("malformed row")
+                t, kind, payload = parts
                 if kind not in ("scanmeta", "odom", "scan"):
                     raise ValueError(f"unknown row type {kind!r}")
                 values = [float(v) for v in payload.split()]
@@ -206,8 +175,7 @@ def cmd_localize(args) -> int:
                         raise ValueError("scan row before scanmeta")
                     est = mcl.update(Pose2D(), LaserScan(*scan_meta, values, ScanFrame.MERGED))
             except ValueError as e:
-                print(f"error: {args.log}:{lineno}: {e}", file=sys.stderr)
-                return 2
+                raise ValueError(f"{args.log}:{lineno}: {e}") from None
             f.write(f"{t},{est.x:.6f},{est.y:.6f},{est.theta:.6f}\n")
     print(f"estimates -> {est_path}")
     return 0
@@ -215,7 +183,6 @@ def cmd_localize(args) -> int:
 
 def cmd_tour(args) -> int:
     out = Path(args.out)
-    _write_manifest(out, args)
     mocks: list[MockDeviceServer] = []
     shared_log: list = []
     if args.mock:
@@ -235,11 +202,13 @@ def cmd_tour(args) -> int:
         for key, val in config.items():
             if key.startswith("device."):
                 name = key.split(".", 1)[1]
-                kind, url = val.split(None, 1)
+                parts = val.split(None, 1)
+                if len(parts) != 2:
+                    raise ValueError(f"{key} = {val!r}: expected `<kind> <url>`")
+                kind, url = parts
                 devices.append(DeviceEndpoint(name, url, kind))
         if not devices:
-            print("error: no devices configured (use --mock or device.* keys)", file=sys.stderr)
-            return 2
+            raise ValueError("no devices configured (use --mock or device.* keys)")
     cfg = TourConfig(devices=devices)
     world = worlds.lab_world(noise=sim.NoiseModel(rng_seed=args.seed))
     nav = Navigator(world, dict(worlds.MARKERS), map_grid=worlds.lab_nav_map())
@@ -320,6 +289,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _write_manifest(Path(args.out), args)
         return args.func(args)
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

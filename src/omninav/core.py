@@ -141,8 +141,10 @@ class OccupancyGrid:
     cells: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution {self.resolution!r} is not positive and finite")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"grid size {self.width}x{self.height} has no cells")
         if self.cells is None:
             self.cells = np.full((self.height, self.width), FREE, dtype=np.int8)
         else:

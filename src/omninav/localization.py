@@ -98,6 +98,8 @@ def init_around(pose: Pose2D, xy_spread: float, theta_spread: float,
                 cfg: MclConfig, rng: np.random.Generator) -> ParticleSet:
     """Particles uniform in a box of half-width xy_spread / theta_spread
     around a pose guess."""
+    if not (0.0 <= xy_spread < math.inf and 0.0 <= theta_spread < math.inf):
+        raise ValueError(f"spreads {xy_spread!r}, {theta_spread!r} must be finite and non-negative")
     n = cfg.particle_count
     xs = pose.x + rng.uniform(-xy_spread, xy_spread, size=n)
     ys = pose.y + rng.uniform(-xy_spread, xy_spread, size=n)

@@ -26,13 +26,15 @@ class MapGenConfig:
     z_max: float = 1.2
     resolution: float = 0.05
     denoise_min_cluster: int = 3
-    seed_margin: int = 1
 
     def __post_init__(self):
-        if self.z_min >= self.z_max:
-            raise ValueError("z_min must be < z_max")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not -math.inf < self.z_min < self.z_max < math.inf:
+            raise ValueError(f"height band [{self.z_min!r}, {self.z_max!r}] is not finite "
+                             "with z_min < z_max")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution {self.resolution!r} is not positive and finite")
+        if self.denoise_min_cluster < 1:
+            raise ValueError("denoise_min_cluster must be >= 1")
 
 
 def height_filter(cloud: PointCloud, z_min: float, z_max: float) -> PointCloud:
@@ -156,7 +158,7 @@ def read_map(path) -> OccupancyGrid:
     raster = np.frombuffer(data[i : i + width * height], dtype=np.uint8)
     if raster.size != width * height:
         raise ValueError("truncated PGM raster")
-    bad = set(np.unique(raster)) - set(_BYTE_TO_CELL)
+    bad = set(np.unique(raster).tolist()) - set(_BYTE_TO_CELL)
     if bad:
         raise ValueError(f"unexpected pixel values {sorted(bad)}")
     cells = np.zeros(raster.shape, dtype=np.int8)
@@ -164,12 +166,15 @@ def read_map(path) -> OccupancyGrid:
         cells[raster == byte] = cell
     cells = np.flipud(cells.reshape(height, width)).copy()
 
-    meta = path.with_suffix(path.suffix + ".meta").read_text()
+    meta_path = path.with_suffix(path.suffix + ".meta")
     fields = {}
-    for line in meta.splitlines():
+    for line in meta_path.read_text().splitlines():
         if ":" in line:
             key, val = line.split(":", 1)
             fields[key.strip()] = val.strip()
+    for key in ("resolution", "origin"):
+        if key not in fields:
+            raise ValueError(f"{meta_path}: no `{key}:` line")
     resolution = float(fields["resolution"])
     ox, oy, oth = (float(t) for t in fields["origin"].split())
     return OccupancyGrid(width, height, resolution, Pose2D(ox, oy, oth), cells)

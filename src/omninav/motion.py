@@ -102,10 +102,10 @@ def circle_drive_headings(
     Commands vx = speed, vy = 0, wz = speed/radius; heading stays tangent to
     the path at every sample. Returns (t, pose) pairs including t = 0.
     """
-    if radius <= 0 or speed <= 0:
-        raise ValueError("radius and speed must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (0.0 < radius < math.inf and 0.0 < speed < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("radius, speed and dt must be positive and finite")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration {duration!r} must be finite and non-negative")
     cmd = VelocityCommand(vx=speed, vy=0.0, wz=speed / radius)
     pose = start if start is not None else Pose2D()
     out = [(0.0, pose)]

@@ -31,9 +31,18 @@ from .sensing import (BaseLaserConfig, DepthScanConfig, _merge_bins, _stitch_bin
                       combine_base_scans, merge_scans, transform_scan_to_body)
 
 
+# parameter count per obstacle kind: disk (cx, cy, radius), segment (x1, y1, x2, y2)
+OBSTACLE_PARAMS = {"disk": 3, "segment": 4}
+
+
 @dataclass
 class Obstacle:
-    """Disk or wall segment with a vertical extent [z_min, z_max]."""
+    """Disk or wall segment with a vertical extent [z_min, z_max].
+
+    The fields are checked once, here, and stored as given: every field but
+    `active` must not change afterwards, since raycast and the collision test
+    read them unchecked.
+    """
 
     id: str
     kind: str  # "disk" | "segment"
@@ -41,6 +50,18 @@ class Obstacle:
     z_min: float = 0.0
     z_max: float = 2.0
     active: bool = True
+
+    def __post_init__(self):
+        if OBSTACLE_PARAMS.get(self.kind) != len(self.params):
+            kinds = " or ".join(f"{k} with {n}" for k, n in OBSTACLE_PARAMS.items())
+            raise ValueError(f"obstacle {self.id!r}: {self.kind!r} with {len(self.params)} "
+                             f"parameters; expected {kinds}")
+        if not all(map(math.isfinite, (*self.params, self.z_min, self.z_max))):
+            raise ValueError(f"obstacle {self.id!r}: non-finite parameter or height")
+        if self.kind == "disk" and self.params[2] < 0:
+            raise ValueError(f"obstacle {self.id!r}: negative radius {self.params[2]!r}")
+        if self.z_min > self.z_max:
+            raise ValueError(f"obstacle {self.id!r}: z_min {self.z_min!r} > z_max {self.z_max!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +72,9 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.odom_translation_std, self.odom_rotation_std, self.range_std) < 0:
-            raise ValueError("noise stds must be non-negative")
+        stds = (self.odom_translation_std, self.odom_rotation_std, self.range_std)
+        if not all(0.0 <= s < math.inf for s in stds):
+            raise ValueError(f"noise stds {stds} must be finite and non-negative")
 
 
 @dataclass
@@ -198,9 +220,6 @@ def raycast(world: World, ox: float, oy: float, angles: np.ndarray,
     max_range and sensor_height are one value for all angles or one per angle.
     Obstacles of one kind are cast together, one row per obstacle.
     """
-    for ob in world.obstacles:
-        if ob.kind not in _RAYCASTS:
-            raise ValueError(f"unknown obstacle kind {ob.kind!r}")
     dist = _grid_raycast(world, ox, oy, angles, max_range)
     for kind, cast in _RAYCASTS.items():
         obs = [ob for ob in world.obstacles if ob.kind == kind and ob.active]

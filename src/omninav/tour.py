@@ -17,7 +17,6 @@ import enum
 import http.client
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -74,6 +73,10 @@ class DeviceEndpoint:
     base_url: str
     kind: str  # "robot" | "television"
 
+    def __post_init__(self):
+        if self.kind not in ("robot", "television"):
+            raise ValueError(f"device {self.name!r}: kind {self.kind!r} is not robot or television")
+
 
 @dataclass
 class TourConfig:
@@ -93,8 +96,6 @@ class TourConfig:
     harvey_media: str = "harvey_field_video"
     cartman_media: str = "cartman_challenge_video"
     harvey_demo: str = "pick_sweet_pepper"
-    media_duration: float = 0.0  # seconds until video_done fires
-    demo_duration: float = 0.0
     request_timeout: float = 2.0
     max_retries: int = 3
 
@@ -300,12 +301,8 @@ class TourRunner:
                 self.inject(Event("device_error"))
                 return
             if action.verb == "play":
-                if cfg.media_duration > 0:
-                    time.sleep(cfg.media_duration)
                 self.inject(Event("video_done"))
             elif action.verb == "start_demo":
-                if cfg.demo_duration > 0:
-                    time.sleep(cfg.demo_duration)
                 self.inject(Event("demo_done"))
             return
         raise ValueError(f"unknown action kind {action.kind!r}")

@@ -9,7 +9,7 @@ import pytest
 import omninav
 from omninav import mapgen
 from omninav.cli import main
-from omninav.core import OCCUPIED, PointCloud
+from omninav.core import OCCUPIED, OccupancyGrid, PointCloud
 
 
 def run_module(argv, timeout):
@@ -237,6 +237,69 @@ class TestTour:
     def test_no_devices_configured(self, tmp_path):
         rc = main(["--out", str(tmp_path / "o"), "tour"])
         assert rc == 2
+
+
+def _write_probe_inputs(tmp):
+    """Valid inputs the malformed-input probes start from."""
+    g = OccupancyGrid(20, 20, 0.1)
+    g.cells[0, :] = OCCUPIED
+    mapgen.write_map(g, tmp / "room.pgm")
+    (tmp / "log.csv").write_text("0.0,scanmeta,0.0 0.0 1.0 0.05 3.0\n0.1,odom,0.05 0.0 0.0\n")
+    write_room_cloud(tmp / "c.xyz")
+    (tmp / "s.txt").write_text("0 cmd 0.1 0 0\n")
+
+
+_LOCALIZE = ["localize", "{tmp}/log.csv", "--map", "{tmp}/room.pgm"]
+_SIMULATE = ["--config", "{tmp}/x.cfg", "simulate", "{tmp}/s.txt", "--duration", "0.2"]
+_PROBES = [
+    # id, argv ({tmp} is the input directory), files written over the inputs, error text
+    ("demo-duration-inf", ["controller-demo", "--duration", "inf"], {}, "duration inf"),
+    ("localize-spread-nan", [*_LOCALIZE, "--spread", "nan"], {}, "spreads nan"),
+    ("localize-spread-deg-inf", [*_LOCALIZE, "--spread-deg", "inf"], {}, "spreads"),
+    ("extract-resolution-nan", ["map-extract", "{tmp}/c.xyz", "--resolution", "nan"], {},
+     "resolution nan"),
+    ("extract-resolution-inf", ["map-extract", "{tmp}/c.xyz", "--resolution", "inf"], {},
+     "resolution inf"),
+    ("extract-z-min-nan", ["map-extract", "{tmp}/c.xyz", "--z-min", "nan"], {}, "height band"),
+    ("extract-min-cluster-0", ["map-extract", "{tmp}/c.xyz", "--min-cluster", "0"], {},
+     "denoise_min_cluster"),
+    ("obstacle-nan", _SIMULATE, {"x.cfg": b"obstacle.a = disk nan 5 0.3\n"}, "non-finite"),
+    ("obstacle-negative-radius", _SIMULATE, {"x.cfg": b"obstacle.a = disk 5 5 -1\n"},
+     "negative radius"),
+    ("obstacle-segment-inf", _SIMULATE, {"x.cfg": b"obstacle.a = segment 1 1 inf 2\n"},
+     "non-finite"),
+    ("obstacle-short-disk", _SIMULATE, {"x.cfg": b"obstacle.a = disk 5 5\n"},
+     "'disk' with 2 parameters"),
+    ("meta-resolution-nan", _LOCALIZE, {"room.pgm.meta": b"resolution: nan\norigin: 0 0 0\n"},
+     "resolution nan"),
+    ("meta-resolution-inf", _LOCALIZE, {"room.pgm.meta": b"resolution: inf\norigin: 0 0 0\n"},
+     "resolution inf"),
+    ("map-0x0", _LOCALIZE, {"room.pgm": b"P5\n0 0\n255\n"}, "0x0"),
+    ("device-toaster", ["--config", "{tmp}/x.cfg", "tour"],
+     {"x.cfg": b"device.tv = toaster http://127.0.0.1:9\n"}, "kind 'toaster'"),
+    ("meta-without-origin", _LOCALIZE, {"room.pgm.meta": b"resolution: 0.1\n"},
+     "room.pgm.meta: no `origin:` line"),
+    ("map-foreign-pixels", _LOCALIZE, {"room.pgm": b"P5\n2 1\n255\naa"},
+     "unexpected pixel values [97]"),
+    ("device-without-url", ["--config", "{tmp}/x.cfg", "tour"],
+     {"x.cfg": b"device.tv = television\n"}, "device.tv = 'television': expected `<kind> <url>`"),
+]
+
+
+@pytest.mark.parametrize("argv, files, message",
+                         [pytest.param(*p[1:], id=p[0]) for p in _PROBES])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, files, message):
+    _write_probe_inputs(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    out = tmp_path / "o"
+    rc = main(["--out", str(out), *(a.format(tmp=tmp_path) for a in argv)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+    assert (out / "manifest.txt").exists()
 
 
 class TestArgHandling:
