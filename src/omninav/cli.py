@@ -100,20 +100,29 @@ def _world_from_args(args, config: dict[str, str]) -> tuple[sim.World, Occupancy
         world = worlds.lab_world(noise=sim.NoiseModel(rng_seed=args.seed))
         nav_map = worlds.lab_nav_map()
     if "robot" in config:
-        x, y, th = (float(v) for v in config["robot"].split())
+        try:
+            x, y, th = (float(v) for v in config["robot"].split())
+        except ValueError:
+            raise ValueError(f"robot = {config['robot']!r}: expected `<x> <y> <theta>`") from None
         world.robot = Pose2D(x, y, th)
     for key, val in config.items():
         if not key.startswith("obstacle."):
             continue
         oid = key.split(".", 1)[1]
+        bad = ValueError(f"{key} = {val!r}: expected `<kind> <params> [z_min z_max [off]]`")
         kind, *parts = val.split() or [""]
         n = sim.OBSTACLE_PARAMS.get(kind, 0)
-        params = tuple(float(p) for p in parts[:n])
         rest = parts[n:]
-        z_min = float(rest[0]) if len(rest) > 0 else 0.0
-        z_max = float(rest[1]) if len(rest) > 1 else 2.0
-        active = not (len(rest) > 2 and rest[2] == "off")
-        world.obstacles.append(sim.Obstacle(oid, kind, params, z_min, z_max, active))
+        try:
+            params = tuple(float(p) for p in parts[:n])
+            z_min = float(rest[0]) if len(rest) > 0 else 0.0
+            z_max = float(rest[1]) if len(rest) > 1 else 2.0
+        except ValueError:
+            raise bad from None
+        obstacle = sim.Obstacle(oid, kind, params, z_min, z_max, active=len(rest) < 3)
+        if rest[2:] not in ([], ["off"]):
+            raise bad
+        world.obstacles.append(obstacle)
     return world, nav_map
 
 
@@ -122,6 +131,9 @@ def cmd_simulate(args) -> int:
     config = _read_config(args.config)
     events = sim.parse_scenario(Path(args.scenario).read_text())
     world, nav_map = _world_from_args(args, config)
+    for ev in events:
+        if ev.kind == "obstacle" and ev.args[0] not in {o.id for o in world.obstacles}:
+            raise ValueError(f"{args.scenario}: event at t={ev.t!r} names no obstacle {ev.args[0]!r}")
     markers = load_markers(args.markers) if args.markers else dict(worlds.MARKERS)
     nav = Navigator(world, markers, map_grid=nav_map)
     log = sim.run_scenario(world, events, duration=args.duration,

@@ -135,10 +135,12 @@ def motion_update(ps: ParticleSet, odom_delta: Pose2D, cfg: MclConfig,
 
 
 def log_likelihoods(poses: np.ndarray, scan: LaserScan, grid: OccupancyGrid,
-                    dfield: np.ndarray, cfg: MclConfig) -> np.ndarray:
+                    dfield: np.ndarray, cfg: MclConfig, ranges=None) -> np.ndarray:
     """Log-likelihood of a scan from each (x, y, theta) row of `poses` under
-    the likelihood field, over every (n // max_beams)-th beam that is valid."""
-    ranges = np.asarray(scan.ranges)
+    the likelihood field, over every (n // max_beams)-th beam that is valid.
+    `ranges` is scan.ranges as a float array, when the caller has built it."""
+    if ranges is None:
+        ranges = np.asarray(scan.ranges, dtype=float)
     beams = np.arange(0, len(ranges), max(1, len(ranges) // cfg.max_beams))
     beams = beams[ranges[beams] >= 0.0]
     r = ranges[beams]
@@ -160,9 +162,10 @@ def measurement_update(ps: ParticleSet, scan: LaserScan, grid: OccupancyGrid,
     A scan with no valid beams leaves the weights untouched. If every weight
     collapses to zero the set is reset to uniform and flagged degenerate.
     """
-    if not any(r >= 0.0 for r in scan.ranges):
+    ranges = np.asarray(scan.ranges, dtype=float)
+    if not (ranges >= 0.0).any():
         return ParticleSet(ps.poses.copy(), ps.weights.copy())
-    logw = log_likelihoods(ps.poses, scan, grid, dfield, cfg)
+    logw = log_likelihoods(ps.poses, scan, grid, dfield, cfg, ranges)
     logw -= logw.max()
     w = ps.weights * np.exp(logw)
     total = w.sum()

@@ -7,6 +7,7 @@ Map files are a PGM (P5) image plus a small text metadata sidecar.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,9 +16,12 @@ from scipy import ndimage
 
 from .core import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, PointCloud, Pose2D
 
-# PGM byte encoding of cell states
+# PGM byte encoding of cell states, as lookup tables both ways (-1: no cell state)
 _CELL_TO_BYTE = {OCCUPIED: 0, FREE: 255, UNKNOWN: 205}
-_BYTE_TO_CELL = {v: k for k, v in _CELL_TO_BYTE.items()}
+_CELL_BYTES = np.zeros(256, dtype=np.uint8)
+_CELL_BYTES[list(_CELL_TO_BYTE)] = list(_CELL_TO_BYTE.values())
+_BYTE_CELLS = np.full(256, -1, dtype=np.int8)
+_BYTE_CELLS[list(_CELL_TO_BYTE.values())] = list(_CELL_TO_BYTE)
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,7 @@ def extract_map(cloud: PointCloud, cfg: MapGenConfig) -> OccupancyGrid:
 def write_map(grid: OccupancyGrid, path) -> None:
     """Write the PGM image and its .meta sidecar next to it."""
     path = Path(path)
-    lut = np.zeros(256, dtype=np.uint8)
-    for cell, byte in _CELL_TO_BYTE.items():
-        lut[cell] = byte
-    img = lut[grid.cells.astype(np.uint8)]
+    img = _CELL_BYTES[grid.cells.astype(np.uint8)]
     # image row 0 is the top of the map (max y)
     img = np.flipud(img)
     with open(path, "wb") as f:
@@ -158,12 +159,9 @@ def read_map(path) -> OccupancyGrid:
     raster = np.frombuffer(data[i : i + width * height], dtype=np.uint8)
     if raster.size != width * height:
         raise ValueError("truncated PGM raster")
-    bad = set(np.unique(raster).tolist()) - set(_BYTE_TO_CELL)
-    if bad:
-        raise ValueError(f"unexpected pixel values {sorted(bad)}")
-    cells = np.zeros(raster.shape, dtype=np.int8)
-    for byte, cell in _BYTE_TO_CELL.items():
-        cells[raster == byte] = cell
+    cells = _BYTE_CELLS[raster]
+    if (cells < 0).any():
+        raise ValueError(f"unexpected pixel values {np.unique(raster[cells < 0]).tolist()}")
     cells = np.flipud(cells.reshape(height, width)).copy()
 
     meta_path = path.with_suffix(path.suffix + ".meta")
@@ -172,29 +170,49 @@ def read_map(path) -> OccupancyGrid:
         if ":" in line:
             key, val = line.split(":", 1)
             fields[key.strip()] = val.strip()
-    for key in ("resolution", "origin"):
+    values = {}
+    for key, form in (("resolution", "<cell size>"), ("origin", "<x> <y> <theta>")):
         if key not in fields:
             raise ValueError(f"{meta_path}: no `{key}:` line")
-    resolution = float(fields["resolution"])
-    ox, oy, oth = (float(t) for t in fields["origin"].split())
+        try:
+            values[key] = [float(t) for t in fields[key].split()]
+        except ValueError:
+            values[key] = []
+        if len(values[key]) != form.count("<"):
+            raise ValueError(f"{meta_path}: expected `{key}: {form}`, got {fields[key]!r}")
+    (resolution,), (ox, oy, oth) = values["resolution"], values["origin"]
     return OccupancyGrid(width, height, resolution, Pose2D(ox, oy, oth), cells)
 
 
 def read_point_cloud(path) -> PointCloud:
-    """ASCII cloud: one `x y z` per line, `#` starts a comment."""
-    pts = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected `x y z`, got {line!r}")
-        pts.append(tuple(float(p) for p in parts))
-    return PointCloud.from_xyz(pts)
+    """ASCII cloud: one `x y z` per line, lines broken as str.splitlines
+    breaks them, `#` starts a comment. numpy's C reader parses the lines;
+    where it fails, the line loop parses them again, takes what float() takes
+    beyond it (`1_0`, non-ASCII digits) and names the bad `path:line`."""
+    lines = Path(path).read_text().splitlines()
+    try:
+        # given the lines, not the path, which it would break only at \n
+        with warnings.catch_warnings():  # an empty or comment-only file warns
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            pts = np.loadtxt(lines, comments="#", ndmin=2)
+    except ValueError:
+        pts = None
+    if pts is None or pts.shape[1] != 3:
+        pts = []
+        for lineno, line in enumerate(lines, 1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected `x y z`, got {line!r}")
+            try:
+                pts.append(tuple(float(p) for p in parts))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    return PointCloud(pts)
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
     with open(path, "w") as f:
-        for x, y, z in cloud.points:
-            f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        f.write("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in cloud.points.tolist()))

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import omninav
-from omninav import mapgen
-from omninav.cli import main
+from omninav import mapgen, sim
+from omninav.cli import _world_from_args, main
 from omninav.core import OCCUPIED, OccupancyGrid, PointCloud
 
 
@@ -283,6 +284,27 @@ _PROBES = [
      "unexpected pixel values [97]"),
     ("device-without-url", ["--config", "{tmp}/x.cfg", "tour"],
      {"x.cfg": b"device.tv = television\n"}, "device.tv = 'television': expected `<kind> <url>`"),
+    ("cloud-hex-number", ["map-extract", "{tmp}/c.xyz"], {"c.xyz": b"1 2 3\n0x1 2 3\n"},
+     "c.xyz:2: could not convert string to float: '0x1'"),
+    ("cloud-quoted-number", ["map-extract", "{tmp}/c.xyz"], {"c.xyz": b'"1" 2 3\n'},
+     "c.xyz:1: could not convert string to float: '\"1\"'"),
+    ("obstacle-on-after-band", _SIMULATE, {"x.cfg": b"obstacle.a = disk 1 2 0.2 0 1 on\n"},
+     "obstacle.a = 'disk 1 2 0.2 0 1 on': expected `<kind> <params> [z_min z_max [off]]`"),
+    ("obstacle-off-typo", _SIMULATE, {"x.cfg": b"obstacle.a = disk 1 2 0.2 0 1 of\n"},
+     "obstacle.a = 'disk 1 2 0.2 0 1 of': expected `<kind> <params> [z_min z_max [off]]`"),
+    ("obstacle-token-after-off", _SIMULATE, {"x.cfg": b"obstacle.a = segment 1 1 2 2 0 1 off x\n"},
+     "obstacle.a = 'segment 1 1 2 2 0 1 off x': expected `<kind> <params>"),
+    ("obstacle-bad-number", _SIMULATE, {"x.cfg": b"obstacle.a = disk 1 two 0.2\n"},
+     "obstacle.a = 'disk 1 two 0.2': expected `<kind> <params>"),
+    ("meta-origin-two-numbers", _LOCALIZE, {"room.pgm.meta": b"resolution: 0.1\norigin: 1 2\n"},
+     "room.pgm.meta: expected `origin: <x> <y> <theta>`, got '1 2'"),
+    ("meta-resolution-abc", _LOCALIZE, {"room.pgm.meta": b"resolution: abc\norigin: 0 0 0\n"},
+     "room.pgm.meta: expected `resolution: <cell size>`, got 'abc'"),
+    ("robot-two-numbers", _SIMULATE, {"x.cfg": b"robot = 1 2\n"},
+     "robot = '1 2': expected `<x> <y> <theta>`"),
+    ("scenario-unknown-obstacle", _SIMULATE,
+     {"x.cfg": b"obstacle.a = disk 1 2 0.2\n", "s.txt": b"0 cmd 0.1 0 0\n0.15 obstacle nosuch on\n"},
+     "s.txt: event at t=0.15 names no obstacle 'nosuch'"),
 ]
 
 
@@ -300,6 +322,25 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, fil
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
     assert (out / "manifest.txt").exists()
+
+
+def test_obstacle_config_band_and_off(tmp_path):
+    config = {"obstacle.a": "disk 1 2 0.2", "obstacle.b": "disk 1 2 0.2 0.1 0.5",
+              "obstacle.c": "segment 1 1 2 2 0 1 off"}
+    world, _ = _world_from_args(argparse.Namespace(map=None, seed=0), config)
+    got = {o.id: (o.z_min, o.z_max, o.active) for o in world.obstacles[-3:]}
+    assert got == {"a": (0.0, 2.0, True), "b": (0.1, 0.5, True), "c": (0.0, 1.0, False)}
+
+
+def test_unknown_obstacle_rejected_before_any_tick(tmp_path, monkeypatch, capsys):
+    def step(*args):
+        raise AssertionError("the scenario ticked")
+
+    monkeypatch.setattr(sim, "step", step)
+    (tmp_path / "s.txt").write_text("0 cmd 0.1 0 0\n1.0 obstacle nosuch off\n")
+    rc = main(["--out", str(tmp_path / "o"), "simulate", str(tmp_path / "s.txt")])
+    assert rc == 2
+    assert "no obstacle 'nosuch'" in capsys.readouterr().err
 
 
 class TestArgHandling:
