@@ -28,18 +28,22 @@ from .mockdev import ROBOT, TELEVISION, MockConfig, MockDeviceServer
 
 
 def _read_config(path: str | None) -> dict[str, str]:
-    """Flat `key = value` config file."""
+    """Flat `key = value` config file; each key appears once."""
     cfg: dict[str, str] = {}
     if path is None:
         return cfg
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise ValueError(f"{path}:{lineno}: expected `key = value`")
-        key, val = body.split("=", 1)
-        cfg[key.strip()] = val.strip()
+        key, val = (part.strip() for part in body.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key `{key}` repeats line {first_line[key]}")
+        first_line[key] = lineno
+        cfg[key] = val
     return cfg
 
 

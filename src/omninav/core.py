@@ -62,12 +62,6 @@ class VelocityCommand:
             if not math.isfinite(v):
                 raise ValueError("non-finite velocity command")
 
-    def clamped(self, v_max: float = 0.5, wz_max: float = 1.0) -> "VelocityCommand":
-        v = math.hypot(self.vx, self.vy)
-        scale = v_max / v if v > v_max else 1.0
-        wz = max(-wz_max, min(wz_max, self.wz))
-        return VelocityCommand(self.vx * scale, self.vy * scale, wz)
-
 
 class ScanFrame(enum.Enum):
     BASE = "base"
@@ -153,12 +147,6 @@ class OccupancyGrid:
     def in_bounds(self, col: int, row: int) -> bool:
         return 0 <= col < self.width and 0 <= row < self.height
 
-    def get(self, col: int, row: int) -> int:
-        return int(self.cells[row, col])
-
-    def set(self, col: int, row: int, value: int) -> None:
-        self.cells[row, col] = value
-
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.width, self.height, self.resolution, self.origin, self.cells.copy())
 
@@ -192,8 +180,3 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @classmethod
-    def from_xyz(cls, triples) -> "PointCloud":
-        arr = np.array(list(triples), dtype=float).reshape(-1, 3)
-        return cls(arr)

@@ -152,6 +152,10 @@ def read_map(path) -> OccupancyGrid:
             j += 1
         tokens.append(data[i:j])
         i = j
+    for t in tokens:
+        if not t.isdigit():  # bytes.isdigit is ASCII-only: [0-9]+
+            raise ValueError(f"{path}: PGM header field {t.decode('latin-1')!r} "
+                             "is not a decimal number")
     width, height, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval}")

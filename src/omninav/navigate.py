@@ -4,7 +4,7 @@ maintenance, and replanning when the local costmap blocks the path."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,15 @@ REACHED = "reached"
 BLOCKED = "blocked"
 NO_PATH = "no-path"
 
+LOCAL_CFG = LocalPlannerConfig(pos_tolerance=0.08, heading_tolerance=math.radians(4.0))
+FACING_HALF_ANGLE = math.radians(29.0)  # the costmap clears only cells this close to ahead
+COSTMAP_INFLATION = 0.25
+DT = 0.05
+SENSE_EVERY = 3  # ticks per merged scan and costmap update
+TIMEOUT = 120.0  # sim seconds per goal
+MAX_REPLANS = 5  # per goal
+REVERSE = VelocityCommand(-0.1, 0.0, 0.0)
+
 
 @dataclass
 class Navigator:
@@ -38,25 +47,14 @@ class Navigator:
     markers: dict[str, MarkerSpec]
     # planning/localization map; defaults to the simulator's raycast grid
     map_grid: simulator.OccupancyGrid | None = None
-    local_cfg: LocalPlannerConfig = field(
-        default_factory=lambda: LocalPlannerConfig(
-            pos_tolerance=0.08, heading_tolerance=math.radians(4.0)
-        )
-    )
-    facing_half_angle: float = math.radians(29.0)
     inflation_radius: float = 0.4
-    costmap_inflation: float = 0.25
-    dt: float = 0.05
-    sense_every: int = 3
-    timeout: float = 120.0  # sim seconds per goal
-    max_replans: int = 5
 
     def __post_init__(self):
         if self.map_grid is None:
             self.map_grid = self.world.grid
         self.costmap = Costmap(
             self.map_grid.resolution,
-            inflation_radius=self.costmap_inflation,
+            inflation_radius=COSTMAP_INFLATION,
             static_grid=self.map_grid,
         )
         self._static_blocked = inflate(self.map_grid, self.inflation_radius)
@@ -109,66 +107,53 @@ class Navigator:
             raise KeyError(f"unknown marker {marker_id!r}")
         goal = self.markers[marker_id].goal
         world = self.world
-        if at_goal(world.robot, goal, self.local_cfg):
+        if at_goal(world.robot, goal, LOCAL_CFG):
             return REACHED
         path = self._plan(goal)
-        if path is None:
-            return NO_PATH
-        replans = 0
-        idx = 0
-        tick = 0
-        stuck_ticks = 0
-        reverse_ticks = 0
-        deadline = world.time + self.timeout
-        while world.time < deadline:
+        replans = idx = tick = stuck_ticks = reverse_ticks = 0
+        deadline = world.time + TIMEOUT
+        while path is not None and world.time < deadline:
             pose = world.robot
-            if at_goal(pose, goal, self.local_cfg):
+            if at_goal(pose, goal, LOCAL_CFG):
                 return REACHED
-            if tick % self.sense_every == 0:
+            if tick % SENSE_EVERY == 0:
                 merged = simulator.sense_merged(world, noisy=world.noise.range_std > 0)
-                self.costmap.update(merged, pose, self.facing_half_angle)
+                self.costmap.update(merged, pose, FACING_HALF_ANGLE)
+            tick += 1
             if reverse_ticks > 0:
                 # wedged against geometry: back straight out, then replan
                 reverse_ticks -= 1
-                simulator.step(world, VelocityCommand(-0.1, 0.0, 0.0), self.dt)
-                tick += 1
-                if reverse_ticks == 0:
-                    path = self._plan(goal)
-                    if path is None:
-                        return NO_PATH
-                    idx = 0
-                continue
-            while idx < len(path) - 1 and math.hypot(
-                path[idx][0] - pose.x, path[idx][1] - pose.y
-            ) < self.local_cfg.lookahead:
-                idx += 1
-            cmd = plan_local(path[idx:], goal.theta, pose, self.costmap, self.local_cfg)
-            if cmd.vx == 0.0 and cmd.wz == 0.0:
-                # blocked: replan around the costmap obstacles
+                simulator.step(world, REVERSE, DT)
+                if reverse_ticks > 0:
+                    continue
+                idle = None
+            else:
+                while idx < len(path) - 1 and math.hypot(
+                    path[idx][0] - pose.x, path[idx][1] - pose.y
+                ) < LOCAL_CFG.lookahead:
+                    idx += 1
+                cmd = plan_local(path[idx:], goal.theta, pose, self.costmap, LOCAL_CFG)
+                if cmd.vx != 0.0 or cmd.wz != 0.0:
+                    odom = simulator.step(world, cmd, DT)
+                    # five ticks running under a fifth of the commanded advance: wedged
+                    stuck = cmd.vx > 0 and math.hypot(odom.x, odom.y) < 0.2 * cmd.vx * DT
+                    stuck_ticks = stuck_ticks + 1 if stuck else 0
+                    if stuck_ticks >= 5:
+                        stuck_ticks, reverse_ticks = 0, 20
+                    if log is not None:
+                        log.append(simulator.LogRow(world.time, world.robot, odom))
+                    continue
+                # blocked: replan around the costmap obstacles, idling one tick
                 replans += 1
-                if replans > self.max_replans:
-                    return BLOCKED
-                path = self._plan(goal)
-                if path is None:
-                    return NO_PATH
-                idx = 0
-                simulator.step(world, cmd, self.dt)  # idle tick while replanning
-                tick += 1
+                if replans > MAX_REPLANS:
+                    break
+                idle = cmd
+            path, idx = self._plan(goal), 0
+            if path is not None and idle is not None:
+                simulator.step(world, idle, DT)
                 if log is not None:
                     log.append(simulator.LogRow(world.time, world.robot, Pose2D(), "replan"))
-                continue
-            odom = simulator.step(world, cmd, self.dt)
-            tick += 1
-            if cmd.vx > 0 and math.hypot(odom.x, odom.y) < 0.2 * cmd.vx * self.dt:
-                stuck_ticks += 1
-                if stuck_ticks >= 5:
-                    stuck_ticks = 0
-                    reverse_ticks = 20
-            else:
-                stuck_ticks = 0
-            if log is not None:
-                log.append(simulator.LogRow(world.time, world.robot, odom))
-        return BLOCKED
+        return NO_PATH if path is None else BLOCKED
 
     def navigate_fn(self):
         """Adapter for sim.run_scenario's `goto` handling."""

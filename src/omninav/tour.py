@@ -81,21 +81,6 @@ class DeviceEndpoint:
 @dataclass
 class TourConfig:
     devices: list[DeviceEndpoint] = field(default_factory=list)
-    markers: dict[str, str] = field(
-        default_factory=lambda: {
-            "entry": "marker1",
-            "harvey": "marker2",
-            "cartman": "marker3",
-            "meeting": "marker4",
-        }
-    )
-    harvey_tv: str = "tv_harvey"
-    harvey_robot: str = "harvey"
-    cartman_tv: str = "tv_cartman"
-    cartman_robot: str = "cartman"
-    harvey_media: str = "harvey_field_video"
-    cartman_media: str = "cartman_challenge_video"
-    harvey_demo: str = "pick_sweet_pepper"
     request_timeout: float = 2.0
     max_retries: int = 3
 
@@ -106,73 +91,55 @@ class TourConfig:
         raise KeyError(f"no device named {name!r}")
 
 
-def tour_step(state: TourState, event: Event, cfg: TourConfig) -> tuple[TourState, list[Action]]:
+_CHECK = (Phase.CONNECTIVITY_CHECK, (Action("check_connectivity"),))
+_TO_CARTMAN = (Phase.NAV_TO_CARTMAN, (Action("navigate", "marker3"),))
+# (phase, event name, event arg) -> (next phase, actions). Only a button's arg
+# is part of the key; every other event matches with its arg ignored.
+TRANSITIONS: dict[tuple[Phase, str, str | None], tuple[Phase, tuple[Action, ...]]] = {
+    (Phase.IDLE_AT_ENTRY, "button", "start"): _CHECK,
+    (Phase.CONNECTIVITY_CHECK, "button", "start"): _CHECK,
+    (Phase.CONNECTIVITY_CHECK, "connectivity_ok", None):
+        (Phase.NAV_TO_HARVEY, (Action("navigate", "marker2"),)),
+    # stay blocked; a new start button retries
+    (Phase.CONNECTIVITY_CHECK, "connectivity_failed", None): (Phase.CONNECTIVITY_CHECK, ()),
+    (Phase.NAV_TO_HARVEY, "nav_done", None):
+        (Phase.HARVEY_VIDEO, (Action("device", "tv_harvey", "play", "harvey_field_video"),)),
+    (Phase.HARVEY_VIDEO, "video_done", None):
+        (Phase.HARVEY_DEMO, (Action("device", "harvey", "start_demo", "pick_sweet_pepper"),)),
+    (Phase.HARVEY_DEMO, "demo_done", None): (Phase.WAIT_NEXT_1, ()),
+    (Phase.HARVEY_DEMO, "button", "next"): _TO_CARTMAN,
+    (Phase.WAIT_NEXT_1, "button", "next"): _TO_CARTMAN,
+    (Phase.NAV_TO_CARTMAN, "nav_done", None): (
+        Phase.CARTMAN_VIDEO, (Action("device", "tv_cartman", "play", "cartman_challenge_video"),)),
+    (Phase.CARTMAN_VIDEO, "video_done", None): (Phase.CARTMAN_PICKING, ()),
+    (Phase.CARTMAN_PICKING, "finish", None):
+        (Phase.NAV_TO_MEETING, (Action("navigate", "marker4"),)),
+    (Phase.NAV_TO_MEETING, "nav_done", None): (Phase.DONE, ()),
+    **{(p, "nav_failed", None): (Phase.FAULT, ()) for p in NAV_PHASES},
+}
+
+
+def tour_step(state: TourState, event: Event) -> tuple[TourState, list[Action]]:
     """Pure transition function: (state, event) -> (state, actions).
 
     Unexpected events leave the state unchanged and are recorded as
     warnings. device_error always faults; FAULT absorbs everything but
-    reset.
+    reset. An item_selected while picking adds the item and picks it.
     """
     p = state.phase
-
-    def to(phase: Phase, actions: list[Action] = []):
-        return TourState(phase, list(state.picked_items), list(state.warnings)), list(actions)
-
     if p == Phase.FAULT:
-        if event.name == "reset":
-            return TourState(Phase.IDLE_AT_ENTRY), []
-        return state, []
+        return (TourState(), []) if event.name == "reset" else (state, [])
     if event.name == "device_error":
-        return to(Phase.FAULT)
-
-    if p == Phase.IDLE_AT_ENTRY and event.name == "button" and event.arg == "start":
-        return to(Phase.CONNECTIVITY_CHECK, [Action("check_connectivity")])
-    if p == Phase.CONNECTIVITY_CHECK:
-        if event.name == "connectivity_ok":
-            return to(Phase.NAV_TO_HARVEY, [Action("navigate", cfg.markers["harvey"])])
-        if event.name == "connectivity_failed":
-            return state, []  # stay blocked; a new start button retries
-        if event.name == "button" and event.arg == "start":
-            return to(Phase.CONNECTIVITY_CHECK, [Action("check_connectivity")])
-    if p == Phase.NAV_TO_HARVEY:
-        if event.name == "nav_done":
-            return to(Phase.HARVEY_VIDEO,
-                      [Action("device", cfg.harvey_tv, "play", cfg.harvey_media)])
-        if event.name == "nav_failed":
-            return to(Phase.FAULT)
-    if p == Phase.HARVEY_VIDEO and event.name == "video_done":
-        return to(Phase.HARVEY_DEMO,
-                  [Action("device", cfg.harvey_robot, "start_demo", cfg.harvey_demo)])
-    if p == Phase.HARVEY_DEMO:
-        if event.name == "demo_done":
-            return to(Phase.WAIT_NEXT_1)
-        if event.name == "button" and event.arg == "next":
-            return to(Phase.NAV_TO_CARTMAN, [Action("navigate", cfg.markers["cartman"])])
-    if p == Phase.WAIT_NEXT_1 and event.name == "button" and event.arg == "next":
-        return to(Phase.NAV_TO_CARTMAN, [Action("navigate", cfg.markers["cartman"])])
-    if p == Phase.NAV_TO_CARTMAN:
-        if event.name == "nav_done":
-            return to(Phase.CARTMAN_VIDEO,
-                      [Action("device", cfg.cartman_tv, "play", cfg.cartman_media)])
-        if event.name == "nav_failed":
-            return to(Phase.FAULT)
-    if p == Phase.CARTMAN_VIDEO and event.name == "video_done":
-        return to(Phase.CARTMAN_PICKING)
-    if p == Phase.CARTMAN_PICKING:
-        if event.name == "item_selected":
-            new = TourState(p, state.picked_items + [event.arg], list(state.warnings))
-            return new, [Action("device", cfg.cartman_robot, "pick", event.arg)]
-        if event.name == "finish":
-            return to(Phase.NAV_TO_MEETING, [Action("navigate", cfg.markers["meeting"])])
-    if p == Phase.NAV_TO_MEETING:
-        if event.name == "nav_done":
-            return to(Phase.DONE)
-        if event.name == "nav_failed":
-            return to(Phase.FAULT)
-
-    warned = TourState(p, list(state.picked_items),
-                       state.warnings + [f"ignored {event} in {p.value}"])
-    return warned, []
+        return TourState(Phase.FAULT, list(state.picked_items), list(state.warnings)), []
+    if p == Phase.CARTMAN_PICKING and event.name == "item_selected":
+        new = TourState(p, state.picked_items + [event.arg], list(state.warnings))
+        return new, [Action("device", "cartman", "pick", event.arg)]
+    key = (p, event.name, event.arg if event.name == "button" else None)
+    if key not in TRANSITIONS:
+        warned = state.warnings + [f"ignored {event} in {p.value}"]
+        return TourState(p, list(state.picked_items), warned), []
+    phase, actions = TRANSITIONS[key]
+    return TourState(phase, list(state.picked_items), list(state.warnings)), list(actions)
 
 
 class DeviceError(Exception):
@@ -309,7 +276,7 @@ class TourRunner:
 
     def process(self, event: Event) -> None:
         before = self.state.phase
-        self.state, actions = tour_step(self.state, event, self.cfg)
+        self.state, actions = tour_step(self.state, event)
         if self.state.phase != before:
             self.transitions.append(f"{event} -> {self.state.phase.value}")
         for action in actions:

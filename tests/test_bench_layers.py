@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps package functions by name from outside the
-package; a refactor that moves or drops one of them must fail here, not only
-under `bench/run.py --trace 1`."""
+package, and its tick clock replaces `sim.step` and `Navigator._plan`; a
+refactor that moves or drops one of them must fail here, not only under
+`bench/run.py`."""
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,15 +15,20 @@ from omninav.core import Pose2D, VelocityCommand
 from omninav.navigate import REACHED, Navigator
 from omninav.planning import MarkerSpec
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("layers")
 
 
 def test_every_traced_name_resolves(layers):
@@ -69,14 +76,20 @@ def test_sim_hot_paths_record_spans(layers):
         assert (moved == pytest.approx(0.025)) is full_move, moved
 
 
-def test_planning_hot_paths_record_spans(layers):
-    """A leg around a disk missing from the nav map keeps the costmap, local
-    planner and replanning calls going through the names the tracer wraps."""
+def crate_leg():
+    """A leg around a disk missing from the nav map: it senses, replans and
+    detours."""
     world = worlds.lab_world()
     world.robot = Pose2D(4.0, 2.0, 0.0)
     world.obstacles.append(sim.Obstacle("crate", "disk", (6.0, 2.0, 0.25)))
     markers = {"past": MarkerSpec("past", Pose2D(9.0, 2.0, 0.0))}
-    nav = Navigator(world, markers, map_grid=worlds.lab_nav_map())
+    return Navigator(world, markers, map_grid=worlds.lab_nav_map())
+
+
+def test_planning_hot_paths_record_spans(layers):
+    """The crate leg keeps the costmap, local planner and replanning calls
+    going through the names the tracer wraps."""
+    nav = crate_leg()
     tracer = layers.Tracer()
     with tracer.installed():
         outcome = nav.navigate_to_marker("past")
@@ -87,3 +100,29 @@ def test_planning_hot_paths_record_spans(layers):
         assert summary[f"{name}.calls"] > 0, name
     # the blocks observer counted a hit: the crate blocked the carrot segment
     assert summary["planning.blocks_hit_ratio"] > 0
+
+
+def test_tick_clock_hooks(monkeypatch):
+    """The bench's TickClock times each `sim.step` through the module and
+    flags plans through `_plan` on the Navigator instance, then removes its
+    hooks."""
+    workloads = load_bench("workloads")
+    nav = crate_leg()
+    steps = []
+    step = sim.step
+
+    def counted_step(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(sim, "step", counted_step)
+    clock = workloads.TickClock()
+    with clock.installed(nav):
+        assert "_plan" in nav.__dict__
+        clock.leg_start()
+        outcome = nav.navigate_to_marker("past")
+    assert outcome == REACHED
+    assert len(clock.ticks_ms) == len(steps) > 0
+    assert clock.plan_ticks and all(0 <= i < len(steps) for i in clock.plan_ticks)
+    assert "_plan" not in nav.__dict__
+    assert sim.step is counted_step

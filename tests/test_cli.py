@@ -27,7 +27,7 @@ def write_room_cloud(path):
     for t in np.linspace(0.0, 2.0, 161):
         for z in (0.3, 0.8):
             pts += [(t, 0.0, z), (t, 2.0, z), (0.0, t, z), (2.0, t, z)]
-    mapgen.write_point_cloud(PointCloud.from_xyz(pts), path)
+    mapgen.write_point_cloud(PointCloud(pts), path)
 
 
 class TestMapExtract:
@@ -305,6 +305,14 @@ _PROBES = [
     ("scenario-unknown-obstacle", _SIMULATE,
      {"x.cfg": b"obstacle.a = disk 1 2 0.2\n", "s.txt": b"0 cmd 0.1 0 0\n0.15 obstacle nosuch on\n"},
      "s.txt: event at t=0.15 names no obstacle 'nosuch'"),
+    ("config-repeated-robot", _SIMULATE, {"x.cfg": b"robot = 1 1 0\n# moved\nrobot = 2 2 0\n"},
+     "x.cfg:3: key `robot` repeats line 1"),
+    ("config-repeated-device", ["--config", "{tmp}/x.cfg", "tour"],
+     {"x.cfg": b"device.tv = television http://127.0.0.1:9\n"
+               b"device.tv = robot http://127.0.0.1:9\n"},
+     "x.cfg:2: key `device.tv` repeats line 1"),
+    ("map-header-underscore", _LOCALIZE, {"room.pgm": b"P5\n1_0 1\n255\n" + bytes(10)},
+     "room.pgm: PGM header field '1_0' is not a decimal number"),
 ]
 
 

@@ -14,7 +14,6 @@ from omninav.core import (
     PointCloud,
     Pose2D,
     ScanFrame,
-    VelocityCommand,
     cell_center,
     normalize_angle,
     world_to_cell,
@@ -68,20 +67,6 @@ class TestPose2D:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Pose2D(math.nan, 0.0, 0.0)
-
-
-class TestVelocityCommand:
-    def test_clamped_scales_translation_isotropically(self):
-        c = VelocityCommand(3.0, 4.0, 0.0).clamped(v_max=0.5)
-        assert math.hypot(c.vx, c.vy) == pytest.approx(0.5)
-        assert c.vy / c.vx == pytest.approx(4.0 / 3.0)
-
-    def test_clamped_limits_rotation(self):
-        assert VelocityCommand(0, 0, -5.0).clamped(wz_max=1.0).wz == -1.0
-
-    def test_within_limits_untouched(self):
-        c = VelocityCommand(0.1, 0.2, 0.3).clamped()
-        assert (c.vx, c.vy, c.wz) == (0.1, 0.2, 0.3)
 
 
 class TestLaserScan:
@@ -145,9 +130,9 @@ class TestOccupancyGrid:
 
     def test_copy_is_independent(self, small_grid):
         c = small_grid.copy()
-        c.set(0, 0, OCCUPIED)
-        assert small_grid.get(0, 0) == FREE
-        assert c.get(0, 0) == OCCUPIED
+        c.cells[0, 0] = OCCUPIED
+        assert small_grid.cells[0, 0] == FREE
+        assert c.cells[0, 0] == OCCUPIED
 
     def test_offset_origin(self):
         g = OccupancyGrid(4, 4, 0.5, Pose2D(-1.0, -1.0, 0.0))
@@ -165,7 +150,7 @@ class TestPointCloud:
         assert len(pc) == 2
 
     def test_from_xyz(self):
-        pc = PointCloud.from_xyz([(1, 2, 3), (4, 5, 6)])
+        pc = PointCloud([(1, 2, 3), (4, 5, 6)])
         assert pc.points[1, 2] == 6.0
 
     def test_non_finite_rejected(self):

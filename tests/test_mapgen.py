@@ -142,7 +142,7 @@ def oracle_read_point_cloud(path) -> PointCloud:
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected `x y z`, got {line!r}")
         pts.append(tuple(float(p) for p in parts))
-    return PointCloud.from_xyz(pts)
+    return PointCloud(pts)
 
 
 def oracle_write_point_cloud(cloud: PointCloud, path) -> None:
@@ -153,29 +153,29 @@ def oracle_write_point_cloud(cloud: PointCloud, path) -> None:
 
 class TestHeightFilter:
     def test_band_inclusive(self):
-        pc = PointCloud.from_xyz([(0, 0, 0.05), (0, 0, 1.2), (0, 0, 0.0), (0, 0, 1.21)])
+        pc = PointCloud([(0, 0, 0.05), (0, 0, 1.2), (0, 0, 0.0), (0, 0, 1.21)])
         kept = height_filter(pc, 0.05, 1.2)
         assert len(kept) == 2
 
     def test_bad_band_rejected(self):
         with pytest.raises(ValueError):
-            height_filter(PointCloud.from_xyz([(0, 0, 0)]), 1.0, 1.0)
+            height_filter(PointCloud([(0, 0, 0)]), 1.0, 1.0)
 
 
 class TestRasterize:
     def test_origin_is_bbox_min_corner(self):
-        pc = PointCloud.from_xyz([(1.0, 2.0, 0.5), (3.0, 5.0, 0.5)])
+        pc = PointCloud([(1.0, 2.0, 0.5), (3.0, 5.0, 0.5)])
         grid = rasterize(pc, 0.5)
         assert (grid.origin.x, grid.origin.y) == (1.0, 2.0)
         assert grid.width == math.floor(2.0 / 0.5) + 1
         assert grid.height == math.floor(3.0 / 0.5) + 1
 
     def test_points_mark_their_cells(self):
-        pc = PointCloud.from_xyz([(0.0, 0.0, 0.5), (0.9, 0.9, 0.5)])
+        pc = PointCloud([(0.0, 0.0, 0.5), (0.9, 0.9, 0.5)])
         grid = rasterize(pc, 0.3)
-        assert grid.get(0, 0) == OCCUPIED
-        assert grid.get(3, 3) == OCCUPIED
-        assert grid.get(1, 1) == FREE
+        assert grid.cells[0, 0] == OCCUPIED
+        assert grid.cells[3, 3] == OCCUPIED
+        assert grid.cells[1, 1] == FREE
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
@@ -185,13 +185,13 @@ class TestRasterize:
 class TestDenoiseOracle:
     def test_small_cluster_removed_diagonal_kept(self):
         g = OccupancyGrid(5, 5, 0.1)
-        g.set(0, 0, OCCUPIED)  # singleton
-        g.set(2, 2, OCCUPIED)
-        g.set(3, 3, OCCUPIED)
-        g.set(4, 4, OCCUPIED)  # diagonal chain of 3
+        g.cells[0, 0] = OCCUPIED  # singleton
+        g.cells[2, 2] = OCCUPIED
+        g.cells[3, 3] = OCCUPIED
+        g.cells[4, 4] = OCCUPIED  # diagonal chain of 3
         out = denoise(g, 3)
-        assert out.get(0, 0) == FREE
-        assert out.get(2, 2) == OCCUPIED
+        assert out.cells[0, 0] == FREE
+        assert out.cells[2, 2] == OCCUPIED
 
     def test_matches_oracle_on_random_grids(self):
         rng = np.random.default_rng(42)
@@ -210,21 +210,21 @@ class TestFillUnknownOracle:
     def test_enclosed_free_space_preserved(self):
         g = OccupancyGrid(5, 5, 0.1)
         for i in range(1, 4):
-            g.set(i, 1, OCCUPIED)
-            g.set(i, 3, OCCUPIED)
-            g.set(1, i, OCCUPIED)
-            g.set(3, i, OCCUPIED)
+            g.cells[1, i] = OCCUPIED
+            g.cells[3, i] = OCCUPIED
+            g.cells[i, 1] = OCCUPIED
+            g.cells[i, 3] = OCCUPIED
         out = fill_unknown(g)
-        assert out.get(2, 2) == FREE  # inside the box
-        assert out.get(0, 0) == UNKNOWN  # outside
+        assert out.cells[2, 2] == FREE  # inside the box
+        assert out.cells[0, 0] == UNKNOWN  # outside
 
     def test_diagonal_gap_leaks(self):
         # 4-connectivity: a diagonal wall does not seal the interior
         g = OccupancyGrid(3, 3, 0.1)
-        g.set(0, 1, OCCUPIED)
-        g.set(1, 0, OCCUPIED)
+        g.cells[1, 0] = OCCUPIED
+        g.cells[0, 1] = OCCUPIED
         out = fill_unknown(g)
-        assert out.get(0, 0) == UNKNOWN
+        assert out.cells[0, 0] == UNKNOWN
 
     def test_matches_oracle_on_random_grids(self):
         rng = np.random.default_rng(7)
@@ -235,7 +235,7 @@ class TestFillUnknownOracle:
 
 class TestExtractPipeline:
     def test_band_excluding_everything_rejected(self):
-        pc = PointCloud.from_xyz([(0, 0, 5.0)])
+        pc = PointCloud([(0, 0, 5.0)])
         with pytest.raises(ValueError):
             extract_map(pc, MapGenConfig())
 
@@ -247,7 +247,7 @@ class TestExtractPipeline:
                 pts += [(t, 0.0, z), (t, 2.0, z), (0.0, t, z), (2.0, t, z)]
         pts.append((1.0, 1.0, 2.0))  # ceiling: height-filtered
         pts.append((1.5, 0.7, 0.5))  # lone in-band stray: denoised
-        grid = extract_map(PointCloud.from_xyz(pts), MapGenConfig(resolution=0.1))
+        grid = extract_map(PointCloud(pts), MapGenConfig(resolution=0.1))
         c = grid.cells
         inside = c[c.shape[0] // 2, c.shape[1] // 2]
         assert inside == FREE
@@ -255,7 +255,7 @@ class TestExtractPipeline:
         # the stray cluster of one cell must be gone
         col = math.floor((1.5 - grid.origin.x) / grid.resolution)
         row = math.floor((0.7 - grid.origin.y) / grid.resolution)
-        assert grid.get(col, row) == FREE
+        assert grid.cells[row, col] == FREE
 
 
 class TestMapFiles:
@@ -272,8 +272,8 @@ class TestMapFiles:
 
     def test_pgm_byte_encoding(self, tmp_path):
         g = OccupancyGrid(2, 1, 0.05)
-        g.set(0, 0, OCCUPIED)
-        g.set(1, 0, UNKNOWN)
+        g.cells[0, 0] = OCCUPIED
+        g.cells[0, 1] = UNKNOWN
         path = tmp_path / "m.pgm"
         write_map(g, path)
         data = path.read_bytes()
@@ -299,6 +299,27 @@ class TestMapFiles:
         p.write_bytes(b"P5\n1 1\n255\n\x7f")
         with pytest.raises(ValueError):
             read_map(p)
+
+    @pytest.mark.parametrize("data, token", [
+        (b"P5\n1_0 1\n255\n" + bytes(10), "1_0"),
+        (b"P5\n+2 1\n255\n\xff\xff", "+2"),
+        (b"P5\n2 1\n0x ff\n\xff\xff", "0x"),
+        ("P5\n\u0662 1\n255\n".encode() + bytes(2), "\xd9\xa2"),  # ARABIC-INDIC DIGIT TWO
+        (b"P5\n2 1", ""),  # the file ends before the maxval
+    ], ids=["underscore", "plus-sign", "hex", "arabic-indic-digit", "truncated"])
+    def test_header_fields_must_be_ascii_digits(self, tmp_path, data, token):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(data)
+        (tmp_path / "x.pgm.meta").write_text("resolution: 0.05\norigin: 0 0 0\n")
+        with pytest.raises(ValueError) as e:
+            read_map(p)
+        assert str(e.value) == f"{p}: PGM header field {token!r} is not a decimal number"
+
+    def test_header_with_comment_and_leading_zeros(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P5\n# two by one\n02 1\n0255\n\xff\x00")
+        (tmp_path / "x.pgm.meta").write_text("resolution: 0.05\norigin: 0 0 0\n")
+        assert read_map(p).cells.tolist() == [[FREE, OCCUPIED]]
 
     @pytest.mark.parametrize("raster", [bytes([b, 205, 0]) for b in range(256)] + [bytes(range(256))],
                              ids=[f"byte-{b}" for b in range(256)] + ["all-bytes"])
@@ -391,7 +412,7 @@ def _first_bad_line(path):
 
 class TestCloudFiles:
     def test_round_trip(self, tmp_path):
-        pc = PointCloud.from_xyz([(0.1, -2.5, 0.333333333333), (1e-9, 4.0, 1.2)])
+        pc = PointCloud([(0.1, -2.5, 0.333333333333), (1e-9, 4.0, 1.2)])
         path = tmp_path / "c.xyz"
         write_point_cloud(pc, path)
         back = read_point_cloud(path)

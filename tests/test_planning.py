@@ -291,7 +291,7 @@ class TestAstar:
 class TestInflate:
     def test_disk_radius(self):
         g = OccupancyGrid(21, 21, 0.1)
-        g.set(10, 10, OCCUPIED)
+        g.cells[10, 10] = OCCUPIED
         blocked = inflate(g, 0.3)
         assert blocked[10, 10]
         assert blocked[10, 13] and not blocked[10, 14]
@@ -300,12 +300,12 @@ class TestInflate:
 
     def test_unknown_is_blocked(self):
         g = OccupancyGrid(3, 3, 0.1)
-        g.set(1, 1, UNKNOWN)
+        g.cells[1, 1] = UNKNOWN
         assert inflate(g, 0.0)[1, 1]
 
     def test_zero_radius_no_dilation(self):
         g = OccupancyGrid(3, 3, 0.1)
-        g.set(1, 1, OCCUPIED)
+        g.cells[1, 1] = OCCUPIED
         blocked = inflate(g, 0.0)
         assert blocked.sum() == 1
 
@@ -459,7 +459,7 @@ class TestCostmap:
 
     def test_static_map_returns_not_inserted(self):
         g = OccupancyGrid(40, 40, 0.05)
-        g.set(20, 20, OCCUPIED)  # wall cell at (1.0-1.05, 1.0-1.05)
+        g.cells[20, 20] = OCCUPIED  # wall cell at (1.0-1.05, 1.0-1.05)
         cm = Costmap(0.05, static_grid=g)
         scan = merged_scan([math.hypot(1.02, 1.02)], angle_min=math.atan2(1.02, 1.02))
         cm.update(scan, Pose2D(0, 0, 0), math.radians(29))

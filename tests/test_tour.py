@@ -2,6 +2,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import dataclass, field
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -97,10 +98,9 @@ class CountingServer:
 class TestStateMachine:
     def _walk(self, pairs):
         state = TourState()
-        cfg = TourConfig()
         out = []
         for event in pairs:
-            state, actions = tour_step(state, event, cfg)
+            state, actions = tour_step(state, event)
             out.append((state.phase, actions))
         return state, out
 
@@ -129,44 +129,154 @@ class TestStateMachine:
 
     def test_skip_wait_via_next_during_demo(self):
         state = TourState(Phase.HARVEY_DEMO)
-        state, actions = tour_step(state, Event("button", "next"), TourConfig())
+        state, actions = tour_step(state, Event("button", "next"))
         assert state.phase == Phase.NAV_TO_CARTMAN
         assert actions == [Action("navigate", "marker3")]
 
     def test_unexpected_event_warns_without_transition(self):
-        state, actions = tour_step(TourState(), Event("video_done"), TourConfig())
+        state, actions = tour_step(TourState(), Event("video_done"))
         assert state.phase == Phase.IDLE_AT_ENTRY
         assert actions == []
         assert state.warnings and "video_done" in state.warnings[0]
 
     def test_device_error_faults_from_any_phase(self):
         for phase in (Phase.HARVEY_VIDEO, Phase.CARTMAN_PICKING, Phase.NAV_TO_MEETING):
-            state, _ = tour_step(TourState(phase), Event("device_error"), TourConfig())
+            state, _ = tour_step(TourState(phase), Event("device_error"))
             assert state.phase == Phase.FAULT
 
     def test_nav_failed_faults(self):
-        state, _ = tour_step(TourState(Phase.NAV_TO_HARVEY), Event("nav_failed"), TourConfig())
+        state, _ = tour_step(TourState(Phase.NAV_TO_HARVEY), Event("nav_failed"))
         assert state.phase == Phase.FAULT
 
     def test_fault_absorbs_until_reset(self):
         state = TourState(Phase.FAULT)
         for ev in (Event("button", "start"), Event("nav_done"), Event("finish")):
-            state, actions = tour_step(state, ev, TourConfig())
+            state, actions = tour_step(state, ev)
             assert state.phase == Phase.FAULT and actions == []
-        state, _ = tour_step(state, Event("reset"), TourConfig())
+        state, _ = tour_step(state, Event("reset"))
         assert state.phase == Phase.IDLE_AT_ENTRY
 
     def test_connectivity_failed_stays_and_retries(self):
         state = TourState(Phase.CONNECTIVITY_CHECK)
-        state, actions = tour_step(state, Event("connectivity_failed"), TourConfig())
+        state, actions = tour_step(state, Event("connectivity_failed"))
         assert state.phase == Phase.CONNECTIVITY_CHECK and actions == []
-        state, actions = tour_step(state, Event("button", "start"), TourConfig())
+        state, actions = tour_step(state, Event("button", "start"))
         assert actions == [Action("check_connectivity")]
 
     def test_transition_function_is_pure(self):
         before = TourState(Phase.CARTMAN_PICKING, ["x"])
-        tour_step(before, Event("item_selected", "y"), TourConfig())
+        tour_step(before, Event("item_selected", "y"))
         assert before.picked_items == ["x"]
+
+
+@dataclass
+class OracleTourConfig:
+    """The tour settings the previous tour_step read, at their old defaults."""
+
+    markers: dict[str, str] = field(
+        default_factory=lambda: {
+            "entry": "marker1",
+            "harvey": "marker2",
+            "cartman": "marker3",
+            "meeting": "marker4",
+        }
+    )
+    harvey_tv: str = "tv_harvey"
+    harvey_robot: str = "harvey"
+    cartman_tv: str = "tv_cartman"
+    cartman_robot: str = "cartman"
+    harvey_media: str = "harvey_field_video"
+    cartman_media: str = "cartman_challenge_video"
+    harvey_demo: str = "pick_sweet_pepper"
+
+
+def oracle_tour_step(state: TourState, event: Event,
+                     cfg: OracleTourConfig) -> tuple[TourState, list[Action]]:
+    """The previous tour_step, verbatim: the oracle for the transition table."""
+    p = state.phase
+
+    def to(phase: Phase, actions: list[Action] = []):
+        return TourState(phase, list(state.picked_items), list(state.warnings)), list(actions)
+
+    if p == Phase.FAULT:
+        if event.name == "reset":
+            return TourState(Phase.IDLE_AT_ENTRY), []
+        return state, []
+    if event.name == "device_error":
+        return to(Phase.FAULT)
+
+    if p == Phase.IDLE_AT_ENTRY and event.name == "button" and event.arg == "start":
+        return to(Phase.CONNECTIVITY_CHECK, [Action("check_connectivity")])
+    if p == Phase.CONNECTIVITY_CHECK:
+        if event.name == "connectivity_ok":
+            return to(Phase.NAV_TO_HARVEY, [Action("navigate", cfg.markers["harvey"])])
+        if event.name == "connectivity_failed":
+            return state, []  # stay blocked; a new start button retries
+        if event.name == "button" and event.arg == "start":
+            return to(Phase.CONNECTIVITY_CHECK, [Action("check_connectivity")])
+    if p == Phase.NAV_TO_HARVEY:
+        if event.name == "nav_done":
+            return to(Phase.HARVEY_VIDEO,
+                      [Action("device", cfg.harvey_tv, "play", cfg.harvey_media)])
+        if event.name == "nav_failed":
+            return to(Phase.FAULT)
+    if p == Phase.HARVEY_VIDEO and event.name == "video_done":
+        return to(Phase.HARVEY_DEMO,
+                  [Action("device", cfg.harvey_robot, "start_demo", cfg.harvey_demo)])
+    if p == Phase.HARVEY_DEMO:
+        if event.name == "demo_done":
+            return to(Phase.WAIT_NEXT_1)
+        if event.name == "button" and event.arg == "next":
+            return to(Phase.NAV_TO_CARTMAN, [Action("navigate", cfg.markers["cartman"])])
+    if p == Phase.WAIT_NEXT_1 and event.name == "button" and event.arg == "next":
+        return to(Phase.NAV_TO_CARTMAN, [Action("navigate", cfg.markers["cartman"])])
+    if p == Phase.NAV_TO_CARTMAN:
+        if event.name == "nav_done":
+            return to(Phase.CARTMAN_VIDEO,
+                      [Action("device", cfg.cartman_tv, "play", cfg.cartman_media)])
+        if event.name == "nav_failed":
+            return to(Phase.FAULT)
+    if p == Phase.CARTMAN_VIDEO and event.name == "video_done":
+        return to(Phase.CARTMAN_PICKING)
+    if p == Phase.CARTMAN_PICKING:
+        if event.name == "item_selected":
+            new = TourState(p, state.picked_items + [event.arg], list(state.warnings))
+            return new, [Action("device", cfg.cartman_robot, "pick", event.arg)]
+        if event.name == "finish":
+            return to(Phase.NAV_TO_MEETING, [Action("navigate", cfg.markers["meeting"])])
+    if p == Phase.NAV_TO_MEETING:
+        if event.name == "nav_done":
+            return to(Phase.DONE)
+        if event.name == "nav_failed":
+            return to(Phase.FAULT)
+
+    warned = TourState(p, list(state.picked_items),
+                       state.warnings + [f"ignored {event} in {p.value}"])
+    return warned, []
+
+
+EVENT_NAMES = ["button", "nav_done", "nav_failed", "video_done", "demo_done", "device_error",
+               "item_selected", "finish", "connectivity_ok", "connectivity_failed", "reset",
+               "unknown"]
+
+
+@pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.value)
+def test_tour_step_matches_oracle(phase):
+    """Every phase x event name x arg, from a fresh state and from one with
+    picked items and warnings: the same phase, items, warnings and actions as
+    the oracle, and the input state left as it was."""
+    cfg = OracleTourConfig()
+    for picked, warnings in (([], []), (["item_1"], ["ignored finish in DONE"])):
+        for name in EVENT_NAMES:
+            for arg in (None, "start", "next", "x"):
+                event = Event(name, arg)
+                state = TourState(phase, list(picked), list(warnings))
+                want, want_actions = oracle_tour_step(state, event, cfg)
+                got, got_actions = tour_step(state, event)
+                assert (got.phase, got.picked_items, got.warnings, got_actions) == \
+                    (want.phase, want.picked_items, want.warnings, want_actions), event
+                assert (state.phase, state.picked_items, state.warnings) == \
+                    (phase, picked, warnings)
 
 
 class TestDeviceProtocol:
